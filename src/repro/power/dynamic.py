@@ -70,19 +70,47 @@ class DynamicPowerTracker:
         ratio table lookup broadcasts over the leading axis and every
         per-element operation is unchanged.
         """
+        ratio = self._batch_ratio(dvfs_levels, "predict_many")
+        comp_ratio = ratio[:, self.tile_of]
+        if self.core_domain is not None:
+            comp_ratio = np.where(self.core_domain[None, :], comp_ratio, 1.0)
+        return self._p_prev[None, :] * comp_ratio
+
+    def linear_split(
+        self, dvfs_levels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eq. (7) as a linear map of the per-core ratios.
+
+        Returns ``(ratio, basis, fixed)`` with ``ratio`` the
+        ``(batch, n_cores)`` Eq. (7) ratios, ``basis`` the
+        ``(n_cores, n_components)`` previous power of each core's
+        core-domain components and ``fixed`` the mesh-domain power that
+        does not rescale, so that ``fixed + ratio @ basis`` equals
+        :meth:`predict_many` bit for bit (each ``basis`` column has at
+        most one non-zero).
+        """
+        ratio = self._batch_ratio(dvfs_levels, "linear_split")
+        scaled = (
+            np.ones(self._p_prev.size, dtype=bool)
+            if self.core_domain is None
+            else self.core_domain
+        )
+        cols = np.flatnonzero(scaled)
+        basis = np.zeros((ratio.shape[1], self._p_prev.size))
+        basis[self.tile_of[cols], cols] = self._p_prev[cols]
+        return ratio, basis, np.where(scaled, 0.0, self._p_prev)
+
+    def _batch_ratio(self, dvfs_levels: np.ndarray, caller: str) -> np.ndarray:
+        """Per-core Eq. (7) ratios for a ``(batch, n_cores)`` level matrix."""
         if not self.ready:
             raise ControlError("no previous interval observed yet")
         lv = np.asarray(dvfs_levels, dtype=int)
         if lv.ndim != 2:
             raise ControlError(
-                f"predict_many expects a (batch, n_cores) level matrix, "
+                f"{caller} expects a (batch, n_cores) level matrix, "
                 f"got shape {lv.shape}"
             )
-        ratio = self.dvfs.dynamic_ratio(self._levels_prev[None, :], lv)
-        comp_ratio = ratio[:, self.tile_of]
-        if self.core_domain is not None:
-            comp_ratio = np.where(self.core_domain[None, :], comp_ratio, 1.0)
-        return self._p_prev[None, :] * comp_ratio
+        return self.dvfs.dynamic_ratio(self._levels_prev[None, :], lv)
 
     def predict_single_change(self, core: int, new_level: int) -> np.ndarray:
         """Power if only ``core`` changes to ``new_level`` [W]."""

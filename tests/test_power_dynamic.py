@@ -59,3 +59,22 @@ def test_observation_is_copied(tracker, chip2):
     tracker.observe(p, lv)
     p[:] = 99.0  # mutate the caller's array
     np.testing.assert_allclose(tracker.predict(lv), 1.0)
+
+
+def test_linear_split_reproduces_predict_many_exactly(tracker, chip2):
+    rng = np.random.default_rng(3)
+    tracker.observe(rng.random(chip2.n_components), np.array([4, 2]))
+    levels = np.array([[0, 0], [5, 1], [3, 5], [4, 2]])
+    ratio, basis, fixed = tracker.linear_split(levels)
+    assert ratio.shape == (4, chip2.n_tiles)
+    assert basis.shape == (chip2.n_tiles, chip2.n_components)
+    assert np.all((basis != 0).sum(axis=0) <= 1)
+    np.testing.assert_array_equal(
+        fixed + ratio @ basis, tracker.predict_many(levels)
+    )
+
+
+def test_linear_split_rejects_a_vector(tracker, chip2):
+    tracker.observe(np.ones(chip2.n_components), np.full(chip2.n_tiles, 5))
+    with pytest.raises(ControlError, match="linear_split"):
+        tracker.linear_split(np.array([5, 5]))
