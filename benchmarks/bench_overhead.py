@@ -105,6 +105,28 @@ def _tecfan_cost(rows: int, cols: int) -> dict:
     }
 
 
+def _host_line() -> str:
+    """The machine the decision costs were measured on."""
+    import platform
+
+    from repro.parallel import available_cpus
+
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next(
+                line.split(":", 1)[1].strip()
+                for line in f
+                if line.startswith("model name")
+            )
+    except (OSError, StopIteration):
+        pass
+    return (
+        f"host: {cpu}, {available_cpus()} usable CPUs; "
+        f"Python {platform.python_version()}, NumPy {np.__version__}"
+    )
+
+
 def test_overhead_scaling(benchmark, results_dir):
     from conftest import save_and_print
 
@@ -133,7 +155,9 @@ def test_overhead_scaling(benchmark, results_dir):
             table,
             floatfmt="{:.1f}",
             title="Sec. V-A — TECfan decision cost vs exhaustive space",
-        ),
+        )
+        + "\n"
+        + _host_line(),
     )
     for r in rows:
         # TECfan stays within its polynomial bound...

@@ -229,14 +229,15 @@ class TECArray:
         t_cold_rows_k: np.ndarray,
         t_hot_rows_k: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`electrical_power_w` for one activation vector against
-        ``(batch, n_devices)`` temperature rows; row ``b`` is
-        bit-identical to the per-row call (the Eq. (9) arithmetic is
-        elementwise, so broadcasting changes nothing)."""
+        """:meth:`electrical_power_w` against ``(batch, n_devices)``
+        temperature rows, for one activation vector or one per row; row
+        ``b`` is bit-identical to the per-row call (the Eq. (9)
+        arithmetic is elementwise, so broadcasting changes nothing)."""
         state = np.asarray(state, dtype=float)
-        if state.shape != (self.n_devices,):
+        if state.shape[-1:] != (self.n_devices,) or state.ndim > 2:
             raise ConfigurationError(
-                f"state has shape {state.shape}, expected ({self.n_devices},)"
+                f"state has shape {state.shape}, expected "
+                f"([batch,] {self.n_devices})"
             )
         if np.any(state < 0.0) or np.any(state > 1.0):
             raise ConfigurationError("TEC activations must lie in [0, 1]")

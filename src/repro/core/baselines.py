@@ -73,16 +73,28 @@ def _tec_reactive(
 ) -> np.ndarray:
     """The Fan+TEC device rule: on when a covered component violates,
     off once every covered component has hysteresis-cleared the
-    threshold."""
+    threshold, otherwise (inside the band, or on a NaN reading, which
+    satisfies neither test) hold the previous state.
+
+    Both tests are per-device counts over the footprint triplets
+    ``(coo_device, coo_component)``.
+    """
     temps = np.asarray(sensor_temps_c, dtype=float)
+    tec_array = system.tec
+    n_dev = tec_array.n_devices
+    under = temps[tec_array.coo_component]
+    dev = tec_array.coo_device
+    hot = np.bincount(
+        dev, weights=under > problem.t_threshold_c, minlength=n_dev
+    ) > 0
+    cleared = np.bincount(
+        dev,
+        weights=under < problem.t_threshold_c - TEC_OFF_HYSTERESIS_C,
+        minlength=n_dev,
+    ) == np.bincount(dev, minlength=n_dev)
     tec = state.tec.copy()
-    for placement in system.tec.placements:
-        under = temps[placement.component_idx]
-        if np.any(under > problem.t_threshold_c):
-            tec[placement.device] = 1.0
-        elif np.all(under < problem.t_threshold_c - TEC_OFF_HYSTERESIS_C):
-            tec[placement.device] = 0.0
-        # else: inside the hysteresis band — hold the previous state.
+    tec[hot] = 1.0
+    tec[cleared & ~hot] = 0.0
     return tec
 
 
@@ -92,16 +104,16 @@ def _dvfs_reactive(
     system,
     problem: EnergyProblem,
 ) -> np.ndarray:
-    """The Fan+DVFS core rule: step down on violation, step up otherwise."""
+    """The Fan+DVFS core rule: step down on violation, step up once the
+    core has hysteresis-cleared the threshold (a NaN peak holds)."""
     temps = np.asarray(sensor_temps_c, dtype=float)
+    # Tiles own equal, contiguous component ranges (``tile_slice``).
+    core_peak = temps.reshape(system.n_cores, -1).max(axis=1)
     levels = state.dvfs.copy()
-    max_level = system.dvfs.max_level
-    for core in range(system.n_cores):
-        core_peak = temps[system.chip.tile_slice(core)].max()
-        if core_peak > problem.t_threshold_c:
-            levels[core] = max(0, levels[core] - 1)
-        elif core_peak < problem.t_threshold_c - DVFS_RAISE_HYSTERESIS_C:
-            levels[core] = min(max_level, levels[core] + 1)
+    down = core_peak > problem.t_threshold_c
+    up = core_peak < problem.t_threshold_c - DVFS_RAISE_HYSTERESIS_C
+    levels[down] = np.maximum(0, levels[down] - 1)
+    levels[up] = np.minimum(system.dvfs.max_level, levels[up] + 1)
     return levels
 
 

@@ -92,6 +92,215 @@ class Estimate:
         return problem.satisfied(self.peak_temp_c)
 
 
+@dataclass(frozen=True)
+class CandidateRows:
+    """One estimator kernel pass: per-candidate arrays, one row each."""
+
+    t_nodes_k: np.ndarray
+    peak_temp_c: np.ndarray
+    p_chip_w: np.ndarray
+    p_cores_w: np.ndarray
+    p_tec_w: np.ndarray
+    p_fan_w: np.ndarray
+    ips_chip: np.ndarray
+    epi: np.ndarray
+
+    @classmethod
+    def assemble(
+        cls, t_rows, peaks, p_dyn_many, p_leak, p_tec, p_fan, ips_many
+    ) -> "CandidateRows":
+        """Chip totals and Eq. (13) EPI from the per-row pieces.
+
+        Contiguous copies keep each row's pairwise-summation order equal
+        to the single-candidate ``.sum()`` it replaces.
+        """
+        p_cores = np.ascontiguousarray(p_dyn_many).sum(axis=1) + p_leak.sum()
+        ips = np.ascontiguousarray(ips_many).sum(axis=1)
+        p_chip = p_cores + p_tec + p_fan
+        return cls(
+            t_nodes_k=t_rows,
+            peak_temp_c=peaks,
+            p_chip_w=p_chip,
+            p_cores_w=p_cores,
+            p_tec_w=p_tec,
+            p_fan_w=p_fan,
+            ips_chip=ips,
+            epi=EnergyProblem.epi_many(p_chip, ips),
+        )
+
+    def estimate(self, j: int, state: ActuatorState) -> Estimate:
+        """Row ``j`` as the :class:`Estimate` of ``state``."""
+        return Estimate(
+            state=state,
+            t_nodes_k=self.t_nodes_k[j],
+            peak_temp_c=float(self.peak_temp_c[j]),
+            p_chip_w=float(self.p_chip_w[j]),
+            p_cores_w=float(self.p_cores_w[j]),
+            p_tec_w=float(self.p_tec_w[j]),
+            p_fan_w=float(self.p_fan_w[j]),
+            ips_chip=float(self.ips_chip[j]),
+            epi=float(self.epi[j]),
+        )
+
+
+class CandidateMemo(dict):
+    """Per-interval memo: state key -> :class:`Estimate`.
+
+    A candidate answered inside an array round is stored as its
+    ``(CandidateRows, row)`` and becomes an :class:`Estimate` the first
+    time someone asks for it, so rounds build objects for winners only.
+    """
+
+    def estimate(self, key: tuple, state: ActuatorState) -> Estimate | None:
+        hit = self.get(key)
+        if hit is None or isinstance(hit, Estimate):
+            return hit
+        rows, j = hit
+        est = rows.estimate(j, state)
+        self[key] = est
+        return est
+
+    def values_of(self, key: tuple) -> tuple[float, float, float]:
+        """``(peak_temp_c, epi, ips_chip)`` of a memoized candidate."""
+        hit = self[key]
+        if isinstance(hit, Estimate):
+            return hit.peak_temp_c, hit.epi, hit.ips_chip
+        rows, j = hit
+        return rows.peak_temp_c[j], rows.epi[j], rows.ips_chip[j]
+
+
+@dataclass(frozen=True)
+class CandidateScreen:
+    """A DVFS candidate round answered as arrays.
+
+    Row ``j`` is ``state`` with its DVFS vector replaced by
+    ``levels[j]``; :meth:`estimate` builds the full :class:`Estimate`
+    for the one row a controller accepts.
+    """
+
+    state: ActuatorState
+    levels: np.ndarray
+    peak_temp_c: np.ndarray
+    epi: np.ndarray
+    ips_chip: np.ndarray
+    keys: list = field(repr=False)
+    memo: CandidateMemo = field(repr=False)
+
+    def estimate(self, j: int) -> Estimate:
+        """Row ``j``'s :class:`Estimate` — the memo's object, so a later
+        ``evaluate`` of the same state returns it too."""
+        cand = self.state.with_dvfs_vector(self.levels[j])
+        return self.memo.estimate(self.keys[j], cand)
+
+
+def _require_interval(estimator) -> None:
+    if estimator._t_nodes_k is None:
+        raise ControlError("begin_interval must be called first")
+
+
+def evaluate_states(estimator, states: list, many: bool) -> list:
+    """Memoized estimates of ``states`` through ``estimator._kernel``.
+
+    The shared body of both estimators' ``evaluate`` (``many=False``)
+    and ``evaluate_many``: memo hits are served as they are, distinct
+    misses go through one kernel pass grouped by exact actuator
+    setting (fan level + TEC vector), and every computed estimate
+    enters the memo.
+    """
+    _require_interval(estimator)
+    memo = estimator._cache
+    results: list = [None] * len(states)
+    misses: dict = {}
+    for i, state in enumerate(states):
+        key = state.key()
+        hit = memo.estimate(key, state)
+        if hit is not None:
+            obs.incr("estimator.cache_hits")
+            results[i] = hit
+        elif key not in misses:
+            misses[key] = (i, state)
+    if misses:
+        if many:
+            obs.incr("estimator.batch_calls")
+            obs.incr("estimator.batch_candidates", len(misses))
+        pending = list(misses.values())
+        groups: dict = {}
+        for r, (_, state) in enumerate(pending):
+            gkey = exact_actuator_key(state.fan_level, state.tec)
+            groups.setdefault(gkey, []).append(r)
+        settings = [
+            (np.asarray(rows), pending[rows[0]][1].fan_level,
+             pending[rows[0]][1].tec)
+            for rows in groups.values()
+        ]
+        levels = np.stack([state.dvfs for _, state in pending])
+        rows = estimator._kernel(levels, settings, many)
+        estimator.n_evaluations += len(pending)
+        obs.incr("estimator.evaluations", len(pending))
+        for r, (key, (i, state)) in enumerate(misses.items()):
+            est = rows.estimate(r, state)
+            memo[key] = est
+            results[i] = est
+    for i, state in enumerate(states):
+        if results[i] is None:  # in-batch duplicate of a miss
+            obs.incr("estimator.cache_hits")
+            results[i] = memo[state.key()]
+    return results
+
+
+def screen_levels(
+    estimator, state: ActuatorState, levels: np.ndarray
+) -> CandidateScreen:
+    """One DVFS round: ``state`` at every row of ``levels``, as arrays.
+
+    Rows share the applied TEC vector and fan level, so the round is one
+    kernel pass. Candidates already memoized (or repeated within the
+    round) cost nothing and are not counted again, exactly as if each
+    row had gone through ``evaluate``; new rows enter the memo without
+    building an :class:`Estimate` per row.
+    """
+    _require_interval(estimator)
+    levels = np.ascontiguousarray(levels, dtype=state.dvfs.dtype)
+    memo = estimator._cache
+    head, fan = state.tec.tobytes(), state.fan_level
+    raw, width = levels.tobytes(), levels.shape[1] * levels.itemsize
+    keys = [
+        (head, raw[lo:lo + width], fan) for lo in range(0, len(raw), width)
+    ]
+    fresh: dict = {}
+    for j, key in enumerate(keys):
+        if key not in memo and key not in fresh:
+            fresh[key] = j
+    if fresh:
+        obs.incr("estimator.batch_calls")
+        obs.incr("estimator.batch_candidates", len(fresh))
+        rows = estimator._kernel(
+            levels[list(fresh.values())],
+            [(slice(None), fan, state.tec)],
+            True,
+        )
+        for r, key in enumerate(fresh):
+            memo[key] = (rows, r)
+        estimator.n_evaluations += len(fresh)
+        obs.incr("estimator.evaluations", len(fresh))
+    if fresh and len(fresh) == len(keys):
+        peak, epi, ips = rows.peak_temp_c, rows.epi, rows.ips_chip
+    else:
+        obs.incr("estimator.cache_hits", len(keys) - len(fresh))
+        peak, epi, ips = np.array(
+            [memo.values_of(key) for key in keys], dtype=float
+        ).reshape(len(keys), 3).T
+    return CandidateScreen(
+        state=state,
+        levels=levels,
+        peak_temp_c=peak,
+        epi=epi,
+        ips_chip=ips,
+        keys=keys,
+        memo=memo,
+    )
+
+
 @dataclass
 class NextIntervalEstimator:
     """What-if evaluator over one :class:`CMPSystem`.
@@ -110,7 +319,7 @@ class NextIntervalEstimator:
     # Per-interval context
     _t_nodes_k: np.ndarray = field(default=None, repr=False)
     _dt_s: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=CandidateMemo, repr=False)
 
     def __post_init__(self) -> None:
         if self.dyn_tracker is None:
@@ -161,8 +370,12 @@ class NextIntervalEstimator:
         self._cache.clear()
 
     def commit(self, estimate: Estimate) -> None:
-        """Adopt an accepted candidate's field as the observer state."""
+        """Adopt an accepted candidate's field as the observer state.
+
+        Memoized answers were relative to the old field and are dropped.
+        """
         self._t_nodes_k = estimate.t_nodes_k
+        self._cache.clear()
 
     def predicted_component_temps_c(self) -> np.ndarray | None:
         """The observer's current component temperatures [degC].
@@ -181,53 +394,8 @@ class NextIntervalEstimator:
     # ------------------------------------------------------------------
     def evaluate(self, state: ActuatorState) -> Estimate:
         """Predict next-interval temperature and EPI for ``state``."""
-        if self._t_nodes_k is None:
-            raise ControlError("begin_interval must be called first")
-        key = state.key()
-        hit = self._cache.get(key)
-        if hit is not None:
-            obs.incr("estimator.cache_hits")
-            return hit
-        self.n_evaluations += 1
-        obs.incr("estimator.evaluations")
-        system = self.system
-        nodes = system.nodes
+        return evaluate_states(self, [state], many=False)[0]
 
-        p_dyn = self.dyn_tracker.predict(state.dvfs)
-        t_comp_k = self._t_nodes_k[nodes.component_slice]
-        p_leak = system.power.controller_leakage.per_component_w(t_comp_k)
-
-        t_steady = system.solver.solve(
-            p_dyn + p_leak, state.fan_level, state.tec
-        )
-        t_next = system.transient.step(
-            self._t_nodes_k, t_steady, self._dt_s, state.fan_level, state.tec
-        )
-        peak_c = float(
-            units.k_to_c(t_next[nodes.component_slice]).max()
-        )
-
-        p_cores = float(p_dyn.sum() + p_leak.sum())
-        p_tec = system.tec_power_w(state.tec, t_next)
-        p_fan = system.fan.power_w(state.fan_level)
-        p_chip = p_cores + p_tec + p_fan
-
-        ips = float(np.sum(self.ips_predictor.predict(state.dvfs)))
-        est = Estimate(
-            state=state,
-            t_nodes_k=t_next,
-            peak_temp_c=peak_c,
-            p_chip_w=p_chip,
-            p_cores_w=p_cores,
-            p_tec_w=p_tec,
-            p_fan_w=p_fan,
-            ips_chip=ips,
-            epi=EnergyProblem.epi(p_chip, ips),
-        )
-        self._cache[key] = est
-        return est
-
-    # ------------------------------------------------------------------
     def evaluate_many(self, states: list) -> list:
         """Batched :meth:`evaluate` over many candidate states.
 
@@ -239,95 +407,53 @@ class NextIntervalEstimator:
         all per-candidate arithmetic keeps the sequential operation
         order. All computed estimates enter the memo cache.
         """
-        if self._t_nodes_k is None:
-            raise ControlError("begin_interval must be called first")
-        results: list = [None] * len(states)
-        misses: list[tuple[int, ActuatorState, tuple]] = []
-        seen: set = set()
-        for i, state in enumerate(states):
-            key = state.key()
-            hit = self._cache.get(key)
-            if hit is not None:
-                obs.incr("estimator.cache_hits")
-                results[i] = hit
-            elif key not in seen:
-                seen.add(key)
-                misses.append((i, state, key))
-            # duplicates within the batch resolve from the cache below
-        if not misses:
-            for i, state in enumerate(states):
-                if results[i] is None:
-                    obs.incr("estimator.cache_hits")
-                    results[i] = self._cache[state.key()]
-            return results
+        return evaluate_states(self, states, many=True)
 
-        obs.incr("estimator.batch_calls")
-        obs.incr("estimator.batch_candidates", len(misses))
+    def screen_dvfs(
+        self, state: ActuatorState, levels: np.ndarray
+    ) -> CandidateScreen:
+        """Array answers for ``state`` at each DVFS row of ``levels``.
+
+        See :func:`screen_levels`; one multi-RHS solve serves the round.
+        """
+        return screen_levels(self, state, levels)
+
+    def _kernel(self, levels: np.ndarray, groups: list, many: bool):
+        """:class:`CandidateRows` for ``levels`` rows, one solve per group.
+
+        ``groups`` lists ``(rows, fan_level, tec)`` settings. A lone
+        :meth:`evaluate` keeps the single-RHS :meth:`SteadyStateSolver.solve`
+        (bit-identical to ``solve_many`` on exact factorizations, and
+        the same residual check on Woodbury-corrected ones).
+        """
         system = self.system
         nodes = system.nodes
         t_comp_k = self._t_nodes_k[nodes.component_slice]
         p_leak = system.power.controller_leakage.per_component_w(t_comp_k)
-        p_leak_sum = p_leak.sum()
-        levels = np.stack([s.dvfs for _, s, _ in misses])
         p_dyn_many = self.dyn_tracker.predict_many(levels)
         ips_many = predict_ips_many(self.ips_predictor, levels)
-        # Row-wise reductions over contiguous copies are bit-identical to
-        # each row's own ``.sum()`` (pairwise summation runs per row in
-        # logical order; a strided source would reduce across rows).
-        p_dyn_sums = np.ascontiguousarray(p_dyn_many).sum(axis=1)
-        ips_sums = np.ascontiguousarray(ips_many).sum(axis=1)
-
-        # One multi-RHS solve per distinct (fan, TEC) setting: the LU
-        # factorization, Joule terms, transient betas, TEC power scatter
-        # and fan lookup are shared. Grouping must be exact (not the
-        # caches' quantized keying): members share one factorization.
-        groups: dict = {}
-        for j, (_, state, _) in enumerate(misses):
-            gkey = exact_actuator_key(state.fan_level, state.tec)
-            groups.setdefault(gkey, []).append(j)
-        for members in groups.values():
-            state0 = misses[members[0]][1]
-            fan, tec = state0.fan_level, state0.tec
-            p_matrix = p_dyn_many[members] + p_leak[None, :]
-            t_steady_rows = system.solver.solve_many(p_matrix, fan, tec)
+        b = len(levels)
+        t_rows = np.empty((b, nodes.n_nodes))
+        p_tec = np.empty(b)
+        p_fan = np.empty(b)
+        for rows, fan, tec in groups:
+            p_matrix = p_dyn_many[rows] + p_leak[None, :]
+            if many:
+                t_steady = system.solver.solve_many(p_matrix, fan, tec)
+            else:
+                t_steady = system.solver.solve(p_matrix[0], fan, tec)[None, :]
             beta = system.transient.betas(self._dt_s, fan, tec)
-            t_next_rows = (
-                (1.0 - beta)[None, :] * t_steady_rows
+            t_next = (
+                (1.0 - beta)[None, :] * t_steady
                 + beta[None, :] * self._t_nodes_k[None, :]
             )
-            p_tec_rows = system.tec_power_many(tec, t_next_rows)
-            p_fan = system.fan.power_w(fan)
-            peaks = units.k_to_c(
-                t_next_rows[:, nodes.component_slice]
-            ).max(axis=1)
-            for r, j in enumerate(members):
-                i, state, key = misses[j]
-                t_next = t_next_rows[r]
-                peak_c = float(peaks[r])
-                p_cores = float(p_dyn_sums[j] + p_leak_sum)
-                p_tec = float(p_tec_rows[r])
-                p_chip = p_cores + p_tec + p_fan
-                ips = float(ips_sums[j])
-                self.n_evaluations += 1
-                obs.incr("estimator.evaluations")
-                est = Estimate(
-                    state=state,
-                    t_nodes_k=t_next,
-                    peak_temp_c=peak_c,
-                    p_chip_w=p_chip,
-                    p_cores_w=p_cores,
-                    p_tec_w=p_tec,
-                    p_fan_w=p_fan,
-                    ips_chip=ips,
-                    epi=EnergyProblem.epi(p_chip, ips),
-                )
-                self._cache[key] = est
-                results[i] = est
-        for i, state in enumerate(states):
-            if results[i] is None:  # in-batch duplicate of a miss
-                obs.incr("estimator.cache_hits")
-                results[i] = self._cache[state.key()]
-        return results
+            t_rows[rows] = t_next
+            p_tec[rows] = system.tec_power_many(tec, t_next)
+            p_fan[rows] = system.fan.power_w(fan)
+        peaks = units.k_to_c(t_rows[:, nodes.component_slice]).max(axis=1)
+        return CandidateRows.assemble(
+            t_rows, peaks, p_dyn_many, p_leak, p_tec, p_fan, ips_many
+        )
 
     # ------------------------------------------------------------------
     def evaluate_fan_setting(

@@ -15,6 +15,15 @@ the heat spreader, the sink) is frozen at its last known temperature.
 * every candidate evaluation re-solves only the cores whose knobs differ
   from the applied configuration, against *frozen boundary temperatures*.
 
+Within one observer field a core's block prediction depends on three
+things only: the core, its DVFS level and its tile's TEC setting. The
+host therefore keeps a *block table* keyed on exactly that triple,
+solves each new (core, tile-TEC) context at every level in one stacked
+solve, and assembles every candidate — single, batched or a whole DVFS
+round — from table rows.
+The hardware counts (``n_evaluations``, ``n_core_solves``) still charge
+each candidate the passes the systolic datapath would run.
+
 The locality is exactly why the hardware heuristic struggles at slow fan
 speeds: each locally-evaluated move looks safe, but the global
 spreader/sink warm-up that a chip-wide decision causes is invisible until
@@ -33,8 +42,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import units
-from repro.core.estimator import Estimate, IPSPredictor, predict_ips_many
-from repro.core.problem import EnergyProblem
+from repro.core.estimator import (
+    CandidateMemo,
+    CandidateRows,
+    CandidateScreen,
+    Estimate,
+    IPSPredictor,
+    evaluate_states,
+    predict_ips_many,
+    screen_levels,
+)
 from repro.core.state import ActuatorState
 from repro.core.system import CMPSystem
 from repro.exceptions import ControlError
@@ -51,6 +68,17 @@ def _quantize(t_k: np.ndarray) -> np.ndarray:
     return np.round(t_k / HW_TEMP_STEP_K) * HW_TEMP_STEP_K
 
 
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each exactly what ``np.dot`` gives its row.
+
+    ``np.vecdot`` runs the same inner dot loop over every row at once.
+    """
+    vecdot = getattr(np, "vecdot", None)  # NumPy >= 2.0
+    if vecdot is not None:
+        return vecdot(a, b)
+    return np.array([np.dot(x, y) for x, y in zip(a, b)])
+
+
 @dataclass
 class _CoreBlock:
     """Precomputed local model of one core tile."""
@@ -62,6 +90,58 @@ class _CoreBlock:
     ext_g: list  # matching conductances
     spreader_node: int
     capacities: np.ndarray  # per local component [J/K]
+
+
+@dataclass
+class _BlockTable:
+    """Core-block predictions for one observer field.
+
+    Entry ``(k, level)`` answers one core's components for the next
+    interval, where context ``k`` stands for ``(core, that tile's TEC
+    setting)``: Eq. (7) scales a tile's power by its own core's ratio
+    only and leakage and boundary temperatures are frozen for the
+    interval, so nothing else enters the block's solve. Each entry holds
+    the quantised prediction, its max and the Eq. (9) power of the
+    tile's TECs over it. A context's entries for every DVFS level are
+    solved together when the context first appears.
+    """
+
+    #: (core, tile-TEC bytes) -> context id.
+    ctx_id: dict = field(default_factory=dict)
+    #: chip TEC bytes -> per-core context ids.
+    chip_ctx: dict = field(default_factory=dict)
+    #: Frozen-boundary inflow per component, shared by every context.
+    inflow: np.ndarray = None
+    pred: np.ndarray = None  # (contexts, levels, m) [K]
+    peak_c: np.ndarray = None  # (contexts, levels) block maxima [degC]
+    tec_w: np.ndarray = None  # (contexts, levels, tile devices) [W]
+
+    def extend(self, pred, peak_c, tec_w) -> None:
+        """Append the entries of newly solved contexts, in id order."""
+        if self.pred is None:
+            self.pred, self.peak_c, self.tec_w = pred, peak_c, tec_w
+        else:
+            self.pred = np.concatenate([self.pred, pred])
+            self.peak_c = np.concatenate([self.peak_c, peak_c])
+            self.tec_w = np.concatenate([self.tec_w, tec_w])
+
+
+class _BlockFields:
+    """Node fields of table-assembled candidates, built on demand.
+
+    Row ``j`` is the observer field with its components replaced by the
+    candidate's block predictions (boundary nodes stay frozen).
+    """
+
+    def __init__(self, t_nodes_k: np.ndarray, t_comp_k: np.ndarray, comp):
+        self._t_nodes_k = t_nodes_k
+        self._t_comp_k = t_comp_k
+        self._comp = comp
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        t = self._t_nodes_k.copy()
+        t[self._comp] = self._t_comp_k[j]
+        return t
 
 
 @dataclass
@@ -77,24 +157,32 @@ class LocalBandedEstimator:
     ips_predictor: IPSPredictor
     dyn_tracker: DynamicPowerTracker = field(default=None)
     n_evaluations: int = 0
-    #: Core re-solves performed (the hardware's "systolic array passes").
+    #: Core re-solves the hardware performs (the "systolic array
+    #: passes"): per evaluated candidate, one per core whose knobs differ
+    #: from the applied configuration, plus one pass over every core for
+    #: the interval's base prediction.
     n_core_solves: int = 0
+    #: Core-block solves the host actually ran to fill the block table.
+    n_block_solves: int = 0
 
     _blocks: list = field(default=None, repr=False)
-    _tile_devs: list = field(default=None, repr=False)
+    _comp_idx: np.ndarray = field(default=None, repr=False)
+    _core_at: np.ndarray = field(default=None, repr=False)
+    #: ``(components, boundary nodes, couplings)`` per coupling count.
+    _ext_groups: list = field(default=None, repr=False)
+    _tile_devs: np.ndarray = field(default=None, repr=False)
     _t_nodes_k: np.ndarray = field(default=None, repr=False)
     _dt_s: float = 0.0
     _base_state: ActuatorState = field(default=None, repr=False)
-    _base_pred_comp_k: np.ndarray = field(default=None, repr=False)
+    _base_counted: bool = False
     _p_leak: np.ndarray = field(default=None, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
-    # (core, tile-TEC-bytes) -> (a, b_base, beta): the power-independent
-    # part of a core solve. Valid only for the current observer field, so
-    # it is dropped whenever ``_t_nodes_k`` moves. ``_stack_cache`` keys
-    # stacked batch variants on the identity of these tuples, so the two
-    # are always cleared together.
-    _ctx_cache: dict = field(default_factory=dict, repr=False)
-    _stack_cache: dict = field(default_factory=dict, repr=False)
+    #: Per-component Eq. (7) power with the component's core at each
+    #: level, ``(n_levels, n_cores, m)``; valid for one interval.
+    _level_power: np.ndarray = field(default=None, repr=False)
+    _cache: dict = field(default_factory=CandidateMemo, repr=False)
+    #: Valid only for the current observer field, so it is dropped
+    #: whenever ``_t_nodes_k`` moves.
+    _table: _BlockTable = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.dyn_tracker is None:
@@ -110,7 +198,6 @@ class LocalBandedEstimator:
         system = self.system
         nodes = system.nodes
         g_full = system.cond.base_matrix().tocsr()
-        n_comp = nodes.n_components
         blocks: list[_CoreBlock] = []
         for core in range(system.n_cores):
             sl = system.chip.tile_slice(core)
@@ -150,9 +237,34 @@ class LocalBandedEstimator:
                 )
             )
         self._blocks = blocks
-        self._tile_devs = [
-            system.tec.tile_devices(core) for core in range(system.n_cores)
-        ]
+        self._comp_idx = np.stack([blk.comp_idx for blk in blocks])
+        # The table reassembles candidate fields by reshaping (core,
+        # block) rows, so the tiles must cover the components in order.
+        if not np.array_equal(
+            self._comp_idx.ravel(), np.arange(nodes.n_components)
+        ):
+            raise ControlError("core tiles must cover the components in order")
+        self._core_at = np.arange(system.n_cores)
+        # External couplings grouped by count, so each group's boundary
+        # inflow is one row-wise dot.
+        ext = [(n, g) for blk in blocks for n, g in zip(blk.ext_node, blk.ext_g)]
+        sizes = np.array([n.size for n, _ in ext])
+        self._ext_groups = []
+        for size in np.unique(sizes[sizes > 0]):
+            comps = np.flatnonzero(sizes == size)
+            self._ext_groups.append((
+                comps,
+                np.stack([ext[i][0] for i in comps]),
+                np.stack([ext[i][1] for i in comps]),
+            ))
+        # (n_cores, devices per tile): every tile carries the same grid.
+        self._tile_devs = np.stack(
+            [system.tec.tile_devices(core) for core in range(system.n_cores)]
+        )
+        if not np.array_equal(
+            self._tile_devs.ravel(), np.arange(system.n_tec_devices)
+        ):
+            raise ControlError("TEC devices must be numbered tile by tile")
 
     # ------------------------------------------------------------------
     def begin_interval(
@@ -199,16 +311,20 @@ class LocalBandedEstimator:
             t[nodes.component_slice]
         )
         self._base_state = state
-        self._base_pred_comp_k = None
+        self._base_counted = False
+        self._level_power = None
         self._cache.clear()
-        self._ctx_cache.clear()
-        self._stack_cache.clear()
+        self._table = None
 
     def commit(self, estimate: Estimate) -> None:
-        """Adopt an accepted candidate's components into the observer."""
+        """Adopt an accepted candidate's components into the observer.
+
+        Every answer so far was relative to the old field, so the memo
+        and the block table go with it.
+        """
         self._t_nodes_k = estimate.t_nodes_k
-        self._ctx_cache.clear()
-        self._stack_cache.clear()
+        self._cache.clear()
+        self._table = None
 
     def predicted_component_temps_c(self) -> np.ndarray | None:
         """The observer's current component temperatures [degC].
@@ -225,302 +341,230 @@ class LocalBandedEstimator:
         )
 
     # ------------------------------------------------------------------
-    def _core_context(self, core: int, state: ActuatorState):
-        """Power-independent pieces of one core solve: ``(a, b_base, beta)``.
-
-        ``a`` is the local conductance block with the TEC pump terms on
-        the diagonal, ``b_base`` the frozen-boundary inflow plus Joule
-        injection, ``beta`` the Eq. (5) relaxation factors. Depends on
-        the observer field and this tile's TEC activations only, so one
-        context serves every candidate power vector — including whole
-        batches in :meth:`evaluate_many`.
-        """
-        tile_devs = self._tile_devs[core]
-        key = (core, np.asarray(state.tec)[tile_devs].tobytes())
-        ctx = self._ctx_cache.get(key)
-        if ctx is not None:
-            return ctx
-        system = self.system
-        blk: _CoreBlock = self._blocks[core]
-        idx = blk.comp_idx
-        m = len(idx)
-        a = blk.g_local.copy()
-        b_base = np.zeros(m)
-        t_now = self._t_nodes_k
-
-        # Frozen-boundary inflow.
-        for k in range(m):
-            if blk.ext_node[k].size:
-                b_base[k] += float(
-                    np.dot(blk.ext_g[k], t_now[blk.ext_node[k]])
-                )
-
-        # TEC terms for devices on this tile (pump on diagonal, Joule in
-        # RHS; the hot side is the frozen spreader).
-        tec = system.tec
-        for dev in tile_devs:
-            s = float(state.tec[dev])
-            if s <= 0.0:
-                continue
-            placement = tec.placements[dev]
-            s_joule = float(tec.joule_scale(np.array([s]))[0])
-            for ci, w in zip(placement.component_idx, placement.weights):
-                k = int(ci - idx[0])
-                a[k, k] += s * w * tec.alpha_i
-                b_base[k] += s_joule * w * 0.5 * tec.joule_w
-
-        # Eq. (5) per local node with the local diagonal conductance.
-        beta = np.exp(-self._dt_s * np.diag(a) / blk.capacities)
-        ctx = (a, b_base, beta)
-        self._ctx_cache[key] = ctx
-        return ctx
-
-    def _solve_core(
-        self, core: int, state: ActuatorState, p_dyn: np.ndarray
-    ) -> np.ndarray:
-        """Banded next-interval prediction of one core's components [K]."""
-        self.n_core_solves += 1
-        obs.incr("estimator.core_solves")
-        blk: _CoreBlock = self._blocks[core]
-        idx = blk.comp_idx
-        a, b_base, beta = self._core_context(core, state)
-        b = (p_dyn + self._p_leak)[idx] + b_base
-        t_steady = np.linalg.solve(a, b)
-        t_comp_now = self._t_nodes_k[self.system.nodes.component_slice]
-        t_next = (1.0 - beta) * t_steady + beta * t_comp_now[idx]
-        return _quantize(t_next)
-
-    def _base_prediction(self) -> np.ndarray:
-        if self._base_pred_comp_k is None:
-            state = self._base_state
-            p_dyn = self.dyn_tracker.predict(state.dvfs)
-            pred = self._t_nodes_k[self.system.nodes.component_slice].copy()
-            for core in range(self.system.n_cores):
-                blk = self._blocks[core]
-                pred[blk.comp_idx] = self._solve_core(core, state, p_dyn)
-            self._base_pred_comp_k = pred
-        return self._base_pred_comp_k
-
-    def _diff_cores(self, state: ActuatorState) -> list[int]:
-        base = self._base_state
-        cores = set(np.flatnonzero(state.dvfs != base.dvfs).tolist())
-        changed_dev = np.flatnonzero(state.tec != base.tec)
-        for dev in changed_dev:
-            cores.add(int(self.system.tec.device_tile[dev]))
-        return sorted(cores)
-
-    # ------------------------------------------------------------------
     def evaluate(self, state: ActuatorState) -> Estimate:
         """Predict next-interval peak temperature and EPI for ``state``.
 
         Only the cores whose knobs differ from the applied configuration
         are re-solved — the paper's one-core-per-cycle datapath.
         """
-        if self._t_nodes_k is None:
-            raise ControlError("begin_interval must be called first")
-        key = state.key()
-        hit = self._cache.get(key)
-        if hit is not None:
-            obs.incr("estimator.cache_hits")
-            return hit
-        self.n_evaluations += 1
-        obs.incr("estimator.evaluations")
-        system = self.system
-        nodes = system.nodes
+        return evaluate_states(self, [state], many=False)[0]
 
-        p_dyn = self.dyn_tracker.predict(state.dvfs)
-        pred = self._base_prediction().copy()
-        for core in self._diff_cores(state):
-            blk = self._blocks[core]
-            pred[blk.comp_idx] = self._solve_core(core, state, p_dyn)
-
-        t_nodes = self._t_nodes_k.copy()
-        t_nodes[nodes.component_slice] = pred
-        peak_c = float(units.k_to_c(pred).max())
-
-        p_cores = float(p_dyn.sum() + self._p_leak.sum())
-        p_tec = system.tec_power_w(state.tec, t_nodes)
-        p_fan = system.fan.power_w(state.fan_level)
-        p_chip = p_cores + p_tec + p_fan
-        ips = float(np.sum(self.ips_predictor.predict(state.dvfs)))
-        est = Estimate(
-            state=state,
-            t_nodes_k=t_nodes,
-            peak_temp_c=peak_c,
-            p_chip_w=p_chip,
-            p_cores_w=p_cores,
-            p_tec_w=p_tec,
-            p_fan_w=p_fan,
-            ips_chip=ips,
-            epi=EnergyProblem.epi(p_chip, ips),
-        )
-        self._cache[key] = est
-        return est
-
-    # ------------------------------------------------------------------
     def evaluate_many(self, states: list) -> list:
         """Batched :meth:`evaluate` over many candidate states.
 
-        Positionally matches ``states``. Candidates needing the same
-        core context (same core, same tile TEC setting) are solved with
-        one stacked ``np.linalg.solve`` — LAPACK back-substitutes each
-        (m, m) system independently, so every row equals the sequential
-        single-candidate solve. All computed estimates enter the memo
-        cache.
+        Positionally matches ``states``; every estimate is bit-identical
+        to the sequential call's and enters the memo cache.
         """
-        if self._t_nodes_k is None:
-            raise ControlError("begin_interval must be called first")
-        results: list = [None] * len(states)
-        misses: list[tuple[int, ActuatorState, tuple]] = []
-        seen: set = set()
-        for i, state in enumerate(states):
-            key = state.key()
-            hit = self._cache.get(key)
-            if hit is not None:
-                obs.incr("estimator.cache_hits")
-                results[i] = hit
-            elif key not in seen:
-                seen.add(key)
-                misses.append((i, state, key))
-        if misses:
-            obs.incr("estimator.batch_calls")
-            obs.incr("estimator.batch_candidates", len(misses))
-            self._evaluate_misses(misses, results)
-        for i, state in enumerate(states):
-            if results[i] is None:  # in-batch duplicate of a miss
-                obs.incr("estimator.cache_hits")
-                results[i] = self._cache[state.key()]
-        return results
+        return evaluate_states(self, states, many=True)
 
-    def _evaluate_misses(
-        self, misses: list, results: list
-    ) -> None:
+    def screen_dvfs(
+        self, state: ActuatorState, levels: np.ndarray
+    ) -> CandidateScreen:
+        """Array answers for ``state`` at each DVFS row of ``levels``.
+
+        See :func:`repro.core.estimator.screen_levels`.
+        """
+        return screen_levels(self, state, levels)
+
+    # ------------------------------------------------------------------
+    def _kernel(self, levels: np.ndarray, groups: list, many: bool):
+        """:class:`CandidateRows` for ``levels`` rows read off the table.
+
+        Row ``j``'s components are the table entries of every core at
+        its level and tile-TEC context; its peak is the max over the
+        per-block maxima (max is exact) and its TEC power sums the
+        per-entry device powers in device order. ``many`` plays no
+        part: a block is bit-identical whichever stacked solve filled it.
+        """
         system = self.system
         nodes = system.nodes
-        n_miss = len(misses)
-        levels = np.stack([s.dvfs for _, s, _ in misses])
-        p_dyn_many = self.dyn_tracker.predict_many(levels)
-        ips_many = predict_ips_many(self.ips_predictor, levels)
-        base_pred = self._base_prediction()
-        t_comp_now = self._t_nodes_k[nodes.component_slice]
-        base = self._base_state
-        base_tec = base.tec
-        # DVFS-only candidates share the applied TEC vector *object*
-        # (ActuatorState.with_dvfs aliases it), which skips every
-        # per-candidate TEC comparison below.
-        tec_objs = [s.tec for _, s, _ in misses]
-        odd_tec = [
-            j for j, t in enumerate(tec_objs) if t is not base_tec
+        n_rows, n_cores = levels.shape
+        if levels.min() < 0 or levels.max() > system.dvfs.max_level:
+            raise ControlError(
+                f"DVFS levels outside 0..{system.dvfs.max_level}"
+            )
+        if self._table is None:
+            self._table = _BlockTable(inflow=self._boundary_inflow())
+        table = self._table
+        ks = np.empty(levels.shape, dtype=np.intp)
+        for rows, _, tec in groups:
+            ks[rows] = self._contexts(tec)
+
+        # Hardware accounting: the systolic array re-solves every core
+        # whose DVFS level or tile TECs differ from the applied setting,
+        # after one pass over all cores for the base prediction.
+        base_ks = self._contexts(self._base_state.tec)
+        passes = int(
+            np.count_nonzero(
+                (levels != self._base_state.dvfs[None, :])
+                | (ks != base_ks[None, :])
+            )
+        )
+        if not self._base_counted:
+            self._base_counted = True
+            passes += n_cores
+        self.n_core_solves += passes
+        obs.incr("estimator.core_solves", passes)
+
+        t_comp = table.pred[ks, levels].reshape(n_rows, nodes.n_components)
+        peaks = table.peak_c[ks, levels].max(axis=1)
+        # Tiles own contiguous device ranges, so the gathered entries are
+        # already in device order.
+        tec_w = table.tec_w[ks, levels].reshape(n_rows, -1)
+        p_fan = np.empty(n_rows)
+        for rows, fan, _ in groups:
+            p_fan[rows] = system.fan.power_w(fan)
+        p_dyn = self._level_power[levels, self._core_at].reshape(
+            n_rows, nodes.n_components
+        )
+        return CandidateRows.assemble(
+            _BlockFields(self._t_nodes_k, t_comp, nodes.component_slice),
+            peaks,
+            p_dyn,
+            self._p_leak,
+            tec_w.sum(axis=1),
+            p_fan,
+            predict_ips_many(self.ips_predictor, levels),
+        )
+
+    def _contexts(self, tec: np.ndarray) -> np.ndarray:
+        """Per-core table context ids for one chip TEC vector."""
+        table = self._table
+        tec = np.asarray(tec)
+        key = tec.tobytes()
+        ks = table.chip_ctx.get(key)
+        if ks is not None:
+            return ks
+        tiles = tec[self._tile_devs]
+        ks = np.empty(len(tiles), dtype=np.intp)
+        new: list[tuple] = []
+        for core, tile_tec in enumerate(tiles):
+            ckey = (core, tile_tec.tobytes())
+            k = table.ctx_id.get(ckey)
+            if k is None:
+                new.append((core, ckey))
+            else:
+                ks[core] = k
+        if new:
+            cores = [core for core, _ in new]
+            self._solve_contexts(cores, tiles[cores])
+            # Ids follow the appended entries' order, registered only
+            # once the solve has succeeded.
+            for core, ckey in new:
+                ks[core] = table.ctx_id[ckey] = len(table.ctx_id)
+        table.chip_ctx[key] = ks
+        return ks
+
+    def _context_system(self, core: int, tile_tec: np.ndarray):
+        """``(a, b_base, beta)``: the power-independent part of a solve.
+
+        ``a`` is the local conductance block with the TEC pump terms on
+        the diagonal, ``b_base`` the frozen-boundary inflow plus Joule
+        injection, ``beta`` the Eq. (5) relaxation factors.
+        """
+        blk: _CoreBlock = self._blocks[core]
+        idx = blk.comp_idx
+        a = blk.g_local.copy()
+        b_base = self._table.inflow[idx]
+
+        # TEC terms for devices on this tile (pump on diagonal, Joule in
+        # RHS; the hot side is the frozen spreader).
+        tec = self.system.tec
+        for dev, s in zip(self._tile_devs[core], tile_tec):
+            s = float(s)
+            if s <= 0.0:
+                continue
+            placement = tec.placements[dev]
+            s_joule = float(tec.joule_scale(np.array([s]))[0])
+            for ci, w in zip(placement.component_idx, placement.weights):
+                j = int(ci - idx[0])
+                a[j, j] += s * w * tec.alpha_i
+                b_base[j] += s_joule * w * 0.5 * tec.joule_w
+
+        # Eq. (5) per local node with the local diagonal conductance.
+        beta = np.exp(-self._dt_s * np.diag(a) / blk.capacities)
+        return a, b_base, beta
+
+    def _boundary_inflow(self) -> np.ndarray:
+        """Per-component inflow from the frozen boundary nodes [W]:
+        one dot of couplings and boundary temperatures per component."""
+        inflow = np.zeros(self.system.nodes.n_components)
+        for comps, nodes, g in self._ext_groups:
+            inflow[comps] += _rowwise_dot(g, self._t_nodes_k[nodes])
+        return inflow
+
+    def _solve_contexts(self, cores: list, tile_tecs: np.ndarray) -> None:
+        """Table entries of new contexts at every level, in one solve.
+
+        LAPACK back-substitutes each stacked (m, m) system on its own,
+        so an entry is bit-identical whichever batch solved it. The TEC
+        powers come from the full-chip Eq. (9) routines on a field
+        holding just this block, so each device keeps its own footprint
+        accumulation order.
+        """
+        system = self.system
+        nodes = system.nodes
+        n_levels = system.dvfs.n_levels
+        if self._level_power is None:
+            grid = np.repeat(
+                np.arange(n_levels)[:, None], system.n_cores, axis=1
+            )
+            # (level, core, block): every component at its core's level.
+            self._level_power = self.dyn_tracker.predict_many(grid).reshape(
+                n_levels, system.n_cores, -1
+            )
+        parts = [
+            self._context_system(core, tile_tec)
+            for core, tile_tec in zip(cores, tile_tecs)
         ]
+        n_new = len(cores)
+        m = len(self._blocks[0].comp_idx)
+        idx = self._comp_idx[cores]
+        a = np.repeat(np.stack([p[0] for p in parts]), n_levels, axis=0)
+        b_base = np.stack([p[1] for p in parts])[:, None, :]
+        beta = np.stack([p[2] for p in parts])[:, None, :]
+        rhs = (
+            self._level_power[:, cores].transpose(1, 0, 2)
+            + self._p_leak[idx][:, None, :]
+        ) + b_base
+        t_steady = np.linalg.solve(
+            a, rhs.reshape(n_new * n_levels, m, 1)
+        ).reshape(n_new, n_levels, m)
+        t_comp_now = self._t_nodes_k[nodes.component_slice]
+        q = _quantize(
+            (1.0 - beta) * t_steady + beta * t_comp_now[idx][:, None, :]
+        )
+        self.n_block_solves += n_new * n_levels
+        obs.incr("estimator.block_solves", n_new * n_levels)
 
-        # Which cores each candidate re-solves (its DVFS knob moved or a
-        # device on its tile did) — one vectorized pass over the batch
-        # instead of per-candidate ``_diff_cores`` scans.
-        diff = levels != np.asarray(base.dvfs)[None, :]
-        device_tile = system.tec.device_tile
-        for j in odd_tec:
-            changed = np.flatnonzero(
-                np.asarray(tec_objs[j]) != np.asarray(base_tec)
+        # Eq. (9) over each entry's tile devices. An all-off tile draws
+        # exactly +0.0 per device over a finite field, so only tiles with
+        # a TEC on (or a non-finite reading) run the full-chip routines.
+        devs = self._tile_devs[cores]
+        t_hot = self._t_nodes_k[nodes.n_components + system.tec.device_tile]
+        tec_w = np.zeros((n_new, n_levels, devs.shape[1]))
+        exact = (
+            tile_tecs.any(axis=1)
+            | np.signbit(tile_tecs).any(axis=1)
+            | ~np.isfinite(q).all(axis=(1, 2))
+            | ~np.isfinite(t_hot[devs]).all(axis=1)
+        )
+        sel = np.flatnonzero(exact)
+        if sel.size:
+            # One row per (context, level): the observer field with just
+            # that block replaced, and just that tile's TECs driven.
+            rows = np.arange(sel.size * n_levels)[:, None]
+            t_rows = np.repeat(t_comp_now[None, :], len(rows), axis=0)
+            t_rows[rows, np.repeat(idx[sel], n_levels, axis=0)] = q[sel].reshape(
+                len(rows), m
             )
-            for dev in changed:
-                diff[j, int(device_tile[dev])] = True
-        pair_miss, pair_core = np.nonzero(diff)
-
-        # Every (candidate, core) re-solve shares its power-independent
-        # context with same-tile-TEC peers; all solves of one block size
-        # collapse into a single stacked LAPACK call (each (m, m) system
-        # back-substitutes independently, so rows stay bit-identical).
-        ctx_memo: dict = {}
-        buckets: dict = {}
-        for j, core in zip(pair_miss.tolist(), pair_core.tolist()):
-            mkey = (core, id(tec_objs[j]))
-            ctx = ctx_memo.get(mkey)
-            if ctx is None:
-                ctx = self._core_context(core, misses[j][1])
-                ctx_memo[mkey] = ctx
-            buckets.setdefault(ctx[0].shape[0], []).append((j, core, ctx))
-
-        p_all = p_dyn_many + self._p_leak[None, :]
-        preds = np.repeat(base_pred[None, :], n_miss, axis=0)
-        for pairs in buckets.values():
-            jj = np.array([j for j, _, _ in pairs])
-            # The stacked interval-invariant arrays are memoized on the
-            # (core, context) sequence: controller iterations re-screen
-            # overlapping candidate sets within one interval.
-            skey = tuple((core, id(ctx)) for _, core, ctx in pairs)
-            stacks = self._stack_cache.get(skey)
-            if stacks is None:
-                stacks = (
-                    np.stack(
-                        [self._blocks[core].comp_idx for _, core, _ in pairs]
-                    ),
-                    np.stack([ctx[0] for _, _, ctx in pairs]),
-                    np.stack([ctx[1] for _, _, ctx in pairs]),
-                    np.stack([ctx[2] for _, _, ctx in pairs]),
-                )
-                self._stack_cache[skey] = stacks
-            idx_stack, a_stack, b_stack, beta_stack = stacks
-            rhs = p_all[jj[:, None], idx_stack] + b_stack
-            t_steady = np.linalg.solve(a_stack, rhs[:, :, None])[..., 0]
-            q = _quantize(
-                (1.0 - beta_stack) * t_steady
-                + beta_stack * t_comp_now[idx_stack]
-            )
-            # One pair per (candidate, core): the scattered writes are
-            # disjoint component ranges.
-            preds[jj[:, None], idx_stack] = q
-            self.n_core_solves += len(pairs)
-            obs.incr("estimator.core_solves", len(pairs))
-
-        # Shared per-candidate tail: one field matrix, one TEC-power
-        # scatter per distinct activation vector, hoisted leakage sum.
-        t_rows = np.repeat(self._t_nodes_k[None, :], n_miss, axis=0)
-        t_rows[:, nodes.component_slice] = preds
-        t_comp_c = units.k_to_c(preds)
-        peaks = t_comp_c.max(axis=1)
-        # Contiguous copies keep the row-wise pairwise-summation order of
-        # the sequential per-candidate ``.sum()`` calls.
-        p_dyn_sums = np.ascontiguousarray(p_dyn_many).sum(axis=1)
-        ips_sums = np.ascontiguousarray(ips_many).sum(axis=1)
-        p_leak_sum = self._p_leak.sum()
-        p_tec_arr = np.empty(n_miss)
-        odd = set(odd_tec)
-        tec_groups: dict = {}
-        for j, t in enumerate(tec_objs):
-            gkey = np.asarray(t).tobytes() if j in odd else None
-            tec_groups.setdefault(gkey, []).append(j)
-        for members in tec_groups.values():
-            p_tec_arr[members] = system.tec_power_many(
-                np.asarray(tec_objs[members[0]]), t_rows[members]
-            )
-
-        self.n_evaluations += n_miss
-        obs.incr("estimator.evaluations", n_miss)
-        fan_pw: dict = {}
-        for j, (i, state, key) in enumerate(misses):
-            t_nodes = t_rows[j]
-            peak_c = float(peaks[j])
-            p_cores = float(p_dyn_sums[j] + p_leak_sum)
-            p_tec = float(p_tec_arr[j])
-            p_fan = fan_pw.get(state.fan_level)
-            if p_fan is None:
-                p_fan = system.fan.power_w(state.fan_level)
-                fan_pw[state.fan_level] = p_fan
-            p_chip = p_cores + p_tec + p_fan
-            ips = float(ips_sums[j])
-            est = Estimate(
-                state=state,
-                t_nodes_k=t_nodes,
-                peak_temp_c=peak_c,
-                p_chip_w=p_chip,
-                p_cores_w=p_cores,
-                p_tec_w=p_tec,
-                p_fan_w=p_fan,
-                ips_chip=ips,
-                epi=EnergyProblem.epi(p_chip, ips),
-            )
-            self._cache[key] = est
-            results[i] = est
+            row_devs = np.repeat(devs[sel], n_levels, axis=0)
+            states = np.zeros((len(rows), system.n_tec_devices))
+            states[rows, row_devs] = np.repeat(tile_tecs[sel], n_levels, axis=0)
+            t_cold = system.tec.cold_side_temperature_many(t_rows)
+            w = system.tec.electrical_power_many(states, t_cold, t_hot)
+            tec_w[sel] = w[rows, row_devs].reshape(sel.size, n_levels, -1)
+        self._table.extend(q, units.k_to_c(q).max(axis=2), tec_w)
 
     # ------------------------------------------------------------------
     def evaluate_fan_setting(

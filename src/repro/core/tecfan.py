@@ -49,6 +49,24 @@ from repro.core.state import ActuatorState
 from repro.obs import telemetry as obs
 
 
+def _first_min(values: np.ndarray, mask) -> int | None:
+    """First strict minimum of ``values`` over ``mask``, or None.
+
+    The choice a sequential scan makes when a later candidate wins only
+    by being strictly smaller (``min(..., key=...)`` or a running best):
+    ties keep the earliest row, and since no comparison with NaN is
+    true, a NaN in the first masked row is never replaced while later
+    NaNs never win.
+    """
+    idx = np.flatnonzero(np.broadcast_to(mask, values.shape))
+    if idx.size == 0:
+        return None
+    v = values[idx]
+    if np.isnan(v[0]):
+        return int(idx[0])
+    return int(idx[np.argmin(np.where(np.isnan(v), np.inf, v))])
+
+
 @dataclass
 class TECfanController(Controller):
     """The hierarchical TECfan policy.
@@ -103,11 +121,6 @@ class TECfanController(Controller):
     #: chip-level DVFS seamlessly"): every DVFS move shifts all cores
     #: together, as on parts without per-core regulators.
     chip_level_dvfs: bool = False
-    #: Evaluate DVFS candidate sets through the estimator's batched
-    #: ``evaluate_many`` (one multi-RHS solve per actuator setting)
-    #: instead of per-candidate ``evaluate`` calls. Decision-identical;
-    #: ``False`` forces the sequential path for A/B validation.
-    batched: bool = True
     #: Evaluation counters per phase, for the overhead benchmark.
     n_hot_iterations: int = 0
     n_cool_iterations: int = 0
@@ -129,23 +142,7 @@ class TECfanController(Controller):
         self, est: Estimate, problem: EnergyProblem, extra_margin_c: float = 0.0
     ) -> bool:
         """Guard-banded feasibility for candidate acceptance."""
-        return est.peak_temp_c <= (
-            problem.t_threshold_c - self.guard_band_c - extra_margin_c
-        )
-
-    def _evaluate_candidates(
-        self, estimator: NextIntervalEstimator, candidates: list
-    ) -> list:
-        """Estimates for ``candidates``, batched when the estimator can.
-
-        ``evaluate_many`` returns bit-identical estimates in candidate
-        order, so selection logic downstream is unchanged either way.
-        """
-        if self.batched:
-            batched = getattr(estimator, "evaluate_many", None)
-            if batched is not None:
-                return batched(candidates)
-        return [estimator.evaluate(c) for c in candidates]
+        return est.peak_temp_c <= self._limit_c(problem, extra_margin_c)
 
     # ------------------------------------------------------------------
     def decide(
@@ -199,13 +196,11 @@ class TECfanController(Controller):
                         break
                 else:
                     # Lower DVFS, choosing the smallest-EPI candidate.
-                    candidates = self._dvfs_candidates(work, system, -1)
-                    if candidates:
-                        best = min(
-                            self._evaluate_candidates(estimator, candidates),
-                            key=lambda e: e.epi,
-                        )
-                        work = best.state
+                    levels = self._dvfs_candidates(work, system, -1)
+                    if levels is not None:
+                        screen = estimator.screen_dvfs(work, levels)
+                        j = _first_min(screen.epi, True)
+                        work = screen.estimate(j).state
                         moved = True
                         break
             if not moved:
@@ -281,59 +276,62 @@ class TECfanController(Controller):
             return work, cur
         return work, cur
 
-    def _dvfs_candidates(self, work, system, direction: int) -> list:
-        """Single-step DVFS moves: per-core, or lock-stepped chip-wide.
+    def _dvfs_candidates(
+        self, work, system, direction: int
+    ) -> np.ndarray | None:
+        """Single-step DVFS moves as a ``(B, n_cores)`` level matrix.
 
-        ``direction`` is +1 (raise) or -1 (lower). Chip-level mode moves
-        every core whose level admits the step, together — the paper's
-        "integrated with chip-level DVFS seamlessly" variant.
+        ``direction`` is +1 (raise) or -1 (lower). Per-core mode moves
+        one healthy core per row, in core order; chip-level mode moves
+        every core whose level admits the step, together, in one row —
+        the paper's "integrated with chip-level DVFS seamlessly"
+        variant. None when no move exists.
         """
         max_level = system.dvfs.max_level
-        health = self._health
         if self.chip_level_dvfs:
             new_levels = np.clip(work.dvfs + direction, 0, max_level)
             if np.array_equal(new_levels, work.dvfs):
-                return []
-            return [work.with_dvfs_vector(new_levels)]
-        if direction > 0:
-            return [
-                work.with_dvfs(core, int(work.dvfs[core]) + 1)
-                for core in range(system.n_cores)
-                if work.dvfs[core] < max_level
-                and (health is None or health.dvfs_ok[core])
-            ]
-        return [
-            work.with_dvfs(core, int(work.dvfs[core]) - 1)
-            for core in range(system.n_cores)
-            if work.dvfs[core] > 0
-            and (health is None or health.dvfs_ok[core])
-        ]
+                return None
+            return new_levels[None, :]
+        movable = work.dvfs < max_level if direction > 0 else work.dvfs > 0
+        if self._health is not None:
+            movable &= np.asarray(self._health.dvfs_ok, dtype=bool)
+        cores = np.flatnonzero(movable)
+        if cores.size == 0:
+            return None
+        levels = np.repeat(work.dvfs[None, :], cores.size, axis=0)
+        levels[np.arange(cores.size), cores] += direction
+        return levels
+
+    def _limit_c(self, problem: EnergyProblem, extra_margin_c: float = 0.0):
+        """The guard-banded peak bound of :meth:`_ok`."""
+        return problem.t_threshold_c - self.guard_band_c - extra_margin_c
 
     def _best_raise(
         self, work, cur, estimator, problem, system, raises_accepted=0
     ) -> Estimate | None:
-        candidates = self._dvfs_candidates(work, system, +1)
+        levels = self._dvfs_candidates(work, system, +1)
+        if levels is None:
+            return None
         margin = self.coupling_penalty_c * raises_accepted
-        best: Estimate | None = None
-        for e in self._evaluate_candidates(estimator, candidates):
-            gains = e.ips_chip > cur.ips_chip * (1.0 + self.ips_gain_rel)
-            if gains and self._ok(e, problem, margin):
-                if best is None or e.epi < best.epi:
-                    best = e
-        return best
+        screen = estimator.screen_dvfs(work, levels)
+        gains = screen.ips_chip > cur.ips_chip * (1.0 + self.ips_gain_rel)
+        ok = screen.peak_temp_c <= self._limit_c(problem, margin)
+        j = _first_min(screen.epi, gains & ok)
+        return None if j is None else screen.estimate(j)
 
     def _best_lowering(
         self, work, cur, estimator, problem, system
     ) -> Estimate | None:
-        candidates = self._dvfs_candidates(work, system, -1)
-        best: Estimate | None = None
-        for e in self._evaluate_candidates(estimator, candidates):
-            neutral = e.ips_chip >= cur.ips_chip * (1.0 - self.ips_loss_rel)
-            saves = e.epi < cur.epi * (1.0 - self.epi_improvement_rel)
-            if neutral and saves and self._ok(e, problem):
-                if best is None or e.epi < best.epi:
-                    best = e
-        return best
+        levels = self._dvfs_candidates(work, system, -1)
+        if levels is None:
+            return None
+        screen = estimator.screen_dvfs(work, levels)
+        neutral = screen.ips_chip >= cur.ips_chip * (1.0 - self.ips_loss_rel)
+        saves = screen.epi < cur.epi * (1.0 - self.epi_improvement_rel)
+        ok = screen.peak_temp_c <= self._limit_c(problem)
+        j = _first_min(screen.epi, neutral & saves & ok)
+        return None if j is None else screen.estimate(j)
 
     def _tec_off_coolest(
         self, work, cur, estimator, problem, system

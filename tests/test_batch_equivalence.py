@@ -203,22 +203,156 @@ def test_evaluate_many_requires_begin_interval(system, cls):
 # ----------------------------------------------------------------------
 # Whole-engine decision identity
 # ----------------------------------------------------------------------
+class SequentialTECfan(TECfanController):
+    """TECfan with its candidate rounds evaluated one state at a time.
+
+    The reference for the array rounds: every DVFS candidate is an
+    :class:`ActuatorState` passed through ``estimator.evaluate`` and the
+    winner is chosen by a running first-strict-minimum scan.
+    """
+
+    def _candidate_states(self, work, system, direction):
+        max_level = system.dvfs.max_level
+        health = self._health
+        if self.chip_level_dvfs:
+            new_levels = np.clip(work.dvfs + direction, 0, max_level)
+            if np.array_equal(new_levels, work.dvfs):
+                return []
+            return [work.with_dvfs_vector(new_levels)]
+        limit = max_level if direction > 0 else 0
+        return [
+            work.with_dvfs(core, int(work.dvfs[core]) + direction)
+            for core in range(system.n_cores)
+            if work.dvfs[core] != limit
+            and (health is None or health.dvfs_ok[core])
+        ]
+
+    def _hot_iterations(self, state, estimator, problem):
+        system = estimator.system
+        work = state
+        for _ in range(self.max_iterations):
+            self.n_hot_iterations += 1
+            est = estimator.evaluate(work)
+            if self._ok(est, problem):
+                return work, est
+            moved = False
+            stages = ("tec", "dvfs") if self.tec_first else ("dvfs", "tec")
+            for stage in stages:
+                if stage == "tec":
+                    device = self._tec_over_hottest_violation(
+                        work, est, system, problem
+                    )
+                    if device is not None:
+                        work = work.with_tec(device, 1.0)
+                        moved = True
+                        break
+                else:
+                    candidates = self._candidate_states(work, system, -1)
+                    if candidates:
+                        best = min(
+                            (estimator.evaluate(c) for c in candidates),
+                            key=lambda e: e.epi,
+                        )
+                        work = best.state
+                        moved = True
+                        break
+            if not moved:
+                return work, est
+        return work, estimator.evaluate(work)
+
+    def _best_raise(
+        self, work, cur, estimator, problem, system, raises_accepted=0
+    ):
+        margin = self.coupling_penalty_c * raises_accepted
+        best = None
+        for c in self._candidate_states(work, system, +1):
+            e = estimator.evaluate(c)
+            gains = e.ips_chip > cur.ips_chip * (1.0 + self.ips_gain_rel)
+            if gains and self._ok(e, problem, margin):
+                if best is None or e.epi < best.epi:
+                    best = e
+        return best
+
+    def _best_lowering(self, work, cur, estimator, problem, system):
+        best = None
+        for c in self._candidate_states(work, system, -1):
+            e = estimator.evaluate(c)
+            neutral = e.ips_chip >= cur.ips_chip * (1.0 - self.ips_loss_rel)
+            saves = e.epi < cur.epi * (1.0 - self.epi_improvement_rel)
+            if neutral and saves and self._ok(e, problem):
+                if best is None or e.epi < best.epi:
+                    best = e
+        return best
+
+
+def _engine_run(controller, max_time_s=0.05):
+    system = build_system(rows=2, cols=2)
+    wl = splash2_workload("lu", 4, system.chip)
+    engine = SimulationEngine(
+        system,
+        EnergyProblem(t_threshold_c=70.0),
+        EngineConfig(max_time_s=max_time_s),
+    )
+    return engine.run(WorkloadRun(wl, system.chip, REF_FREQ_GHZ), controller)
+
+
 @pytest.mark.parametrize("kind", ["banded", "full"])
 def test_engine_metrics_identical_batched_vs_sequential(kind):
-    def run(batched: bool):
-        system = build_system(rows=2, cols=2)
-        wl = splash2_workload("lu", 4, system.chip)
-        engine = SimulationEngine(
-            system,
-            EnergyProblem(t_threshold_c=70.0),
-            EngineConfig(max_time_s=0.05),
-        )
-        controller = TECfanController(batched=batched, estimator_kind=kind)
-        return engine.run(
-            WorkloadRun(wl, system.chip, REF_FREQ_GHZ), controller
-        )
-
-    res_b, res_s = run(True), run(False)
+    res_b = _engine_run(TECfanController(estimator_kind=kind))
+    res_s = _engine_run(SequentialTECfan(estimator_kind=kind))
     assert res_b.metrics == res_s.metrics
     assert res_b.trace._rows == res_s.trace._rows
     assert res_b.final_state.key() == res_s.final_state.key()
+    # The hardware counts charge each candidate alike in both paths.
+    assert res_b.estimator.n_evaluations == res_s.estimator.n_evaluations
+    if kind == "banded":
+        assert (
+            res_b.estimator.n_core_solves == res_s.estimator.n_core_solves
+        )
+
+
+@pytest.mark.parametrize("kind", ["banded", "full"])
+def test_chip_level_rounds_match_sequential(kind):
+    res_b = _engine_run(
+        TECfanController(estimator_kind=kind, chip_level_dvfs=True)
+    )
+    res_s = _engine_run(
+        SequentialTECfan(estimator_kind=kind, chip_level_dvfs=True)
+    )
+    assert res_b.trace._rows == res_s.trace._rows
+    assert res_b.final_state.key() == res_s.final_state.key()
+
+
+class _Health:
+    """A fixed actuator-health view (the engine's monitor pushes these)."""
+
+    def __init__(self, system, dead_cores=(), dead_devices=()):
+        self.dvfs_ok = np.ones(system.n_cores, dtype=bool)
+        self.dvfs_ok[list(dead_cores)] = False
+        self.tec_ok = np.ones(system.n_tec_devices, dtype=bool)
+        self.tec_ok[list(dead_devices)] = False
+        self.fan_ok = True
+
+
+@pytest.mark.parametrize("kind", ["banded", "full"])
+@pytest.mark.parametrize("threshold_offset_c", [-12.0, 3.0])
+def test_health_masked_decisions_match_sequential(
+    system, kind, threshold_offset_c
+):
+    """Masked cores and devices drop out of both paths' rounds alike,
+    on a hot chip (throttling) and a cool one (raises and lowerings)."""
+    cls = LocalBandedEstimator if kind == "banded" else NextIntervalEstimator
+    est_a, state = _primed_estimator(cls, system, seed=5)
+    est_b, _ = _primed_estimator(cls, system, seed=5)
+    peak = est_a.evaluate(state).peak_temp_c
+    problem = EnergyProblem(t_threshold_c=peak + threshold_offset_c)
+    health = _Health(system, dead_cores=(1,), dead_devices=range(0, 36, 3))
+    outs = []
+    for ctrl_cls, est in ((TECfanController, est_a), (SequentialTECfan, est_b)):
+        ctrl = ctrl_cls(estimator_kind=kind)
+        ctrl.set_actuator_health(health)
+        temps = est.predicted_component_temps_c()
+        outs.append(ctrl.decide(state, temps, est, problem))
+    assert outs[0].key() == outs[1].key()
+    assert outs[0].dvfs[1] == state.dvfs[1]  # the masked core never moves
+    assert est_a.n_evaluations == est_b.n_evaluations

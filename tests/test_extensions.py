@@ -30,10 +30,10 @@ def test_chip_level_candidates_move_together(system2):
         system2.n_tec_devices, system2.n_cores, system2.dvfs.max_level, 1
     )
     lowered = ctrl._dvfs_candidates(state, system2, -1)
-    assert len(lowered) == 1
-    assert np.all(lowered[0].dvfs == system2.dvfs.max_level - 1)
+    assert lowered.shape == (1, system2.n_cores)
+    assert np.all(lowered[0] == system2.dvfs.max_level - 1)
     # At the top, no raise candidate exists.
-    assert ctrl._dvfs_candidates(state, system2, +1) == []
+    assert ctrl._dvfs_candidates(state, system2, +1) is None
 
 
 def test_chip_level_clips_mixed_levels(system2):
@@ -42,8 +42,8 @@ def test_chip_level_clips_mixed_levels(system2):
         system2.n_tec_devices, system2.n_cores, system2.dvfs.max_level, 1
     ).with_dvfs_vector(np.array([0, 3]))
     lowered = ctrl._dvfs_candidates(state, system2, -1)
-    assert len(lowered) == 1
-    np.testing.assert_array_equal(lowered[0].dvfs, [0, 2])
+    assert lowered.shape == (1, system2.n_cores)
+    np.testing.assert_array_equal(lowered[0], [0, 2])
 
 
 def test_per_core_candidates_are_per_core(system2):
@@ -53,6 +53,11 @@ def test_per_core_candidates_are_per_core(system2):
     )
     lowered = ctrl._dvfs_candidates(state, system2, -1)
     assert len(lowered) == system2.n_cores
+    # Row k lowers core k only.
+    np.testing.assert_array_equal(
+        lowered,
+        system2.dvfs.max_level - np.eye(system2.n_cores, dtype=int),
+    )
 
 
 def test_chip_level_controller_decides(system2):
