@@ -1,7 +1,8 @@
 """Deterministic checkpoint/restore of mid-flight simulations.
 
-A checkpoint is one pickled payload dict: the engine's plant state
-(temperature field, row clocks via the trace, TEC engagement memory),
+A checkpoint is one pickled payload dict: the engine's loop state
+(actuator state, temperature field, TEC engagement memory, clocks and
+accumulators — one ``_LoopState`` under ``loop``), the recorded trace,
 the controller and estimator, the fault scheduler with its latched
 values and RNG stream, the sensor bank's noise stream, rebuild recipes
 for the solver's warm LU/Woodbury cache, and the telemetry counters.
@@ -36,7 +37,9 @@ from repro.obs import telemetry as obs
 
 #: Version of the snapshot payload layout. Bump on any incompatible
 #: change to the keys or their meaning; loaders reject other versions.
-CHECKPOINT_SCHEMA = 1
+#: Schema 2 moved the actuator state, temperature field and TEC memory
+#: into the ``loop`` entry, which became the engine's loop-state object.
+CHECKPOINT_SCHEMA = 2
 
 
 def atomic_write_bytes(path, blob: bytes) -> str:

@@ -126,20 +126,59 @@ def _make_controller(name: str):
     raise ValueError(f"unknown policy {name!r} (choose from: {known})")
 
 
-def _load_fault_scheduler(path: str, prog: str):
-    """Parse a JSON fault script; returns (scheduler, rc)."""
-    import json
+def _engine_kwargs(args, prog: str):
+    """EngineConfig keywords from the kernel and fault flags.
 
-    from repro.exceptions import FaultInjectionError
-    from repro.faults import FaultScheduler
+    Shared by ``tecfan run`` and ``tecfan profile``. A fault script
+    (``--faults``) turns on the whole hardened loop and replaces the
+    kernel flags (hardened runs never take the fast path). Returns None
+    after printing the reason when the script is unreadable.
+    """
+    if args.faults is not None:
+        import json
 
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-        return FaultScheduler.from_spec(spec), 0
-    except (OSError, json.JSONDecodeError, FaultInjectionError) as exc:
-        print(f"{prog}: bad fault script {path}: {exc}", file=sys.stderr)
-        return None, 2
+        from repro.exceptions import FaultInjectionError
+        from repro.faults import FaultScheduler, HealthConfig, WatchdogConfig
+
+        try:
+            with open(args.faults) as fh:
+                scheduler = FaultScheduler.from_spec(json.load(fh))
+        except (OSError, json.JSONDecodeError, FaultInjectionError) as exc:
+            print(f"{prog}: bad fault script {args.faults}: {exc}",
+                  file=sys.stderr)
+            return None
+        return dict(
+            faults=scheduler,
+            watchdog=WatchdogConfig(),
+            health=HealthConfig(),
+            estimator_fallback=True,
+        )
+    return {
+        "interval_kernel": args.interval_kernel or args.exact_kernel,
+        "exact_kernel": args.exact_kernel,
+    }
+
+
+def _splash_engine(args, **config):
+    """``(engine, make_run)`` for the workload flags on the 16-core chip.
+
+    ``make_run()`` returns a fresh run of ``--workload/--threads``;
+    ``config`` holds further :class:`EngineConfig` fields.
+    """
+    from repro.core.engine import EngineConfig, SimulationEngine
+    from repro.core.problem import EnergyProblem
+    from repro.core.system import build_system
+    from repro.perf import splash2_workload
+    from repro.perf.workload import WorkloadRun
+
+    system = build_system()
+    workload = splash2_workload(args.workload, args.threads, system.chip)
+    engine = SimulationEngine(
+        system,
+        EnergyProblem(t_threshold_c=args.threshold),
+        EngineConfig(max_time_s=args.max_time_s, **config),
+    )
+    return engine, lambda: WorkloadRun(workload, system.chip, ref_freq_ghz=2.0)
 
 
 def _print_run_result(result) -> None:
@@ -160,60 +199,32 @@ def _cmd_run(args) -> int:
     from repro.exceptions import CheckpointError
 
     if args.resume is not None:
+        from repro.checkpoint import load_checkpoint
+        from repro.core.engine import SimulationEngine
+
         try:
-            if args.status_file is not None:
-                # The snapshotted config predates the flag; override it
-                # so the resumed half of the run is watchable too.
-                from repro.checkpoint import load_checkpoint
-                from repro.core.engine import SimulationEngine
-
-                ck = load_checkpoint(args.resume, kind="engine-run")
-                ck["config"].status_path = args.status_file
-                ck["config"].status_every_s = args.status_every_s
-                engine = SimulationEngine(
-                    system=ck["system"],
-                    problem=ck["problem"],
-                    config=ck["config"],
-                )
-                result = engine.resume(ck)
-            else:
-                from repro.checkpoint import resume_engine_run
-
-                result = resume_engine_run(args.resume)
+            ck = load_checkpoint(args.resume, kind="engine-run")
         except CheckpointError as exc:
             print(f"tecfan run: cannot resume {args.resume}: {exc}",
                   file=sys.stderr)
             return 2
+        if args.status_file is not None:
+            # The snapshotted config predates the flag; override it so
+            # the resumed half of the run is watchable too.
+            ck["config"].status_path = args.status_file
+            ck["config"].status_every_s = args.status_every_s
+        result = SimulationEngine(
+            system=ck["system"], problem=ck["problem"], config=ck["config"]
+        ).resume(ck)
         _print_run_result(result)
         return 0
-
-    from repro.core.engine import EngineConfig, SimulationEngine
-    from repro.core.problem import EnergyProblem
-    from repro.core.system import build_system
-    from repro.perf import splash2_workload
-    from repro.perf.workload import WorkloadRun
 
     if args.max_time_s <= 0:
         print("tecfan run: --max-time-s must be > 0", file=sys.stderr)
         return 2
-    engine_kwargs = {}
-    if args.interval_kernel:
-        engine_kwargs["interval_kernel"] = True
-    if args.exact_kernel:
-        engine_kwargs["interval_kernel"] = True
-        engine_kwargs["exact_kernel"] = True
-    if args.faults is not None:
-        from repro.faults import HealthConfig, WatchdogConfig
-
-        scheduler, rc = _load_fault_scheduler(args.faults, "tecfan run")
-        if scheduler is None:
-            return rc
-        engine_kwargs = dict(
-            faults=scheduler,
-            watchdog=WatchdogConfig(),
-            health=HealthConfig(),
-            estimator_fallback=True,
-        )
+    engine_kwargs = _engine_kwargs(args, "tecfan run")
+    if engine_kwargs is None:
+        return 2
     if args.checkpoint is not None:
         engine_kwargs["checkpoint_path"] = args.checkpoint
         engine_kwargs["checkpoint_every_s"] = args.checkpoint_every_s
@@ -226,15 +237,8 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"tecfan run: {exc}", file=sys.stderr)
         return 2
-    system = build_system()
-    workload = splash2_workload(args.workload, args.threads, system.chip)
-    engine = SimulationEngine(
-        system,
-        EnergyProblem(t_threshold_c=args.threshold),
-        EngineConfig(max_time_s=args.max_time_s, **engine_kwargs),
-    )
-    run = WorkloadRun(workload, system.chip, ref_freq_ghz=2.0)
-    result = engine.run(run, controller)
+    engine, make_run = _splash_engine(args, **engine_kwargs)
+    result = engine.run(make_run(), controller)
     _print_run_result(result)
     return 0
 
@@ -242,12 +246,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     """Fan sweep of one policy with an optional crash-recovery journal."""
     from repro.checkpoint import result_digest
-    from repro.core.engine import EngineConfig, SimulationEngine, run_fan_sweep
-    from repro.core.problem import EnergyProblem
-    from repro.core.system import build_system
+    from repro.core.engine import run_fan_sweep
     from repro.exceptions import CheckpointError
-    from repro.perf import splash2_workload
-    from repro.perf.workload import WorkloadRun
 
     if args.max_time_s <= 0:
         print("tecfan sweep: --max-time-s must be > 0", file=sys.stderr)
@@ -257,17 +257,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"tecfan sweep: {exc}", file=sys.stderr)
         return 2
-    system = build_system()
-    workload = splash2_workload(args.workload, args.threads, system.chip)
-    engine = SimulationEngine(
-        system,
-        EnergyProblem(t_threshold_c=args.threshold),
-        EngineConfig(max_time_s=args.max_time_s),
-    )
-
-    def make_run():
-        return WorkloadRun(workload, system.chip, ref_freq_ghz=2.0)
-
+    engine, make_run = _splash_engine(args)
     try:
         chosen, all_metrics = run_fan_sweep(
             engine,
@@ -403,57 +393,20 @@ def _cmd_profile(args) -> int:
             return 2
         return 0
 
-    from repro.core.engine import EngineConfig, SimulationEngine
     from repro.core.export import metrics_to_dict
-    from repro.core.problem import EnergyProblem
-    from repro.core.system import build_system
     from repro.core.tecfan import TECfanController
-    from repro.perf import splash2_workload
-    from repro.perf.workload import WorkloadRun
 
     if args.max_time_s <= 0:
         print("tecfan profile: --max-time-s must be > 0", file=sys.stderr)
         return 2
 
-    engine_kwargs = {}
-    if args.interval_kernel:
-        engine_kwargs["interval_kernel"] = True
-    if args.exact_kernel:
-        engine_kwargs["interval_kernel"] = True
-        engine_kwargs["exact_kernel"] = True
-    if args.faults is not None:
-        import json
-
-        from repro.exceptions import FaultInjectionError
-        from repro.faults import FaultScheduler, HealthConfig, WatchdogConfig
-
-        try:
-            with open(args.faults) as fh:
-                spec = json.load(fh)
-            scheduler = FaultScheduler.from_spec(spec)
-        except (OSError, json.JSONDecodeError, FaultInjectionError) as exc:
-            print(
-                f"tecfan profile: bad fault script {args.faults}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        engine_kwargs = dict(
-            faults=scheduler,
-            watchdog=WatchdogConfig(),
-            health=HealthConfig(),
-            estimator_fallback=True,
-        )
+    engine_kwargs = _engine_kwargs(args, "tecfan profile")
+    if engine_kwargs is None:
+        return 2
 
     tel = get_telemetry()  # installed by main() for this subcommand
-    system = build_system()
-    workload = splash2_workload(args.workload, args.threads, system.chip)
-    engine = SimulationEngine(
-        system,
-        EnergyProblem(t_threshold_c=args.threshold),
-        EngineConfig(max_time_s=args.max_time_s, **engine_kwargs),
-    )
-    run = WorkloadRun(workload, system.chip, ref_freq_ghz=2.0)
-    result = engine.run(run, TECfanController())
+    engine, make_run = _splash_engine(args, **engine_kwargs)
+    result = engine.run(make_run(), TECfanController())
     tel.annotate("metrics", metrics_to_dict(result.metrics))
     m = result.metrics
     print(
@@ -605,6 +558,38 @@ def main(argv: list[str] | None = None) -> int:
         default=1.0,
         help="wall-clock cadence between status snapshots [s]",
     )
+    # One SPLASH-2 workload at one threshold: run, sweep and profile.
+    workload_parent = argparse.ArgumentParser(add_help=False)
+    workload_parent.add_argument(
+        "--workload", default="lu", help="SPLASH-2 benchmark name"
+    )
+    workload_parent.add_argument("--threads", type=int, default=16)
+    workload_parent.add_argument(
+        "--threshold", type=float, default=85.0, help="T_th [degC]"
+    )
+    # Engine kernel and fault flags (see _engine_kwargs): run and profile.
+    engine_parent = argparse.ArgumentParser(add_help=False)
+    engine_parent.add_argument(
+        "--interval-kernel",
+        action="store_true",
+        help="arm the interval-kernel fast path (propagator caches, "
+        "Woodbury solver corrections, quiescent fast-forwarding; see "
+        "docs/PERFORMANCE.md). Auto-disabled when --faults is given",
+    )
+    engine_parent.add_argument(
+        "--exact-kernel",
+        action="store_true",
+        help="force the classic exact interval loop even with "
+        "--interval-kernel: the A/B switch for validating the fast path",
+    )
+    engine_parent.add_argument(
+        "--faults",
+        metavar="PATH",
+        default=None,
+        help="JSON fault script (list of {kind, ...} dicts, see "
+        "docs/ROBUSTNESS.md); enables the thermal watchdog, health "
+        "monitor and estimator fallback (the hardened configuration)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("table1", parents=[common], help="Table I base scenario")
     sub.add_parser("fig4", parents=[common], help="Figure 4: TEC+fan integration")
@@ -626,11 +611,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     runp = sub.add_parser(
         "run",
-        parents=[common, status_parent],
+        parents=[common, status_parent, workload_parent, engine_parent],
         help="one simulation with optional periodic checkpoints / resume",
     )
-    runp.add_argument("--workload", default="lu", help="SPLASH-2 benchmark name")
-    runp.add_argument("--threads", type=int, default=16)
     runp.add_argument(
         "--policy",
         default="TECfan",
@@ -638,30 +621,10 @@ def main(argv: list[str] | None = None) -> int:
         "Fan+DVFS, DVFS+TEC or TECfan",
     )
     runp.add_argument(
-        "--threshold", type=float, default=85.0, help="T_th [degC]"
-    )
-    runp.add_argument(
         "--max-time-s",
         type=float,
         default=2.0,
         help="simulated-time cap for the run [s]",
-    )
-    runp.add_argument(
-        "--interval-kernel",
-        action="store_true",
-        help="arm the interval-kernel fast path (see docs/PERFORMANCE.md)",
-    )
-    runp.add_argument(
-        "--exact-kernel",
-        action="store_true",
-        help="force the classic exact loop even with --interval-kernel",
-    )
-    runp.add_argument(
-        "--faults",
-        metavar="PATH",
-        default=None,
-        help="JSON fault script; enables watchdog, health monitor and "
-        "estimator fallback (the hardened engine configuration)",
     )
     runp.add_argument(
         "--checkpoint",
@@ -686,19 +649,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     sweepp = sub.add_parser(
         "sweep",
-        parents=[common, jobs_parent, status_parent],
+        parents=[common, jobs_parent, status_parent, workload_parent],
         help="fan-level sweep of one policy (crash-recoverable "
         "with --journal)",
     )
     sweepp.add_argument(
-        "--workload", default="lu", help="SPLASH-2 benchmark name"
-    )
-    sweepp.add_argument("--threads", type=int, default=16)
-    sweepp.add_argument(
         "--policy", default="TECfan", help="controller name (case-insensitive)"
-    )
-    sweepp.add_argument(
-        "--threshold", type=float, default=85.0, help="T_th [degC]"
     )
     sweepp.add_argument(
         "--max-time-s",
@@ -811,13 +767,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     prof = sub.add_parser(
         "profile",
-        parents=[common],
+        parents=[common, workload_parent, engine_parent],
         help="run one instrumented TECfan simulation and print its profile",
-    )
-    prof.add_argument("--workload", default="lu", help="SPLASH-2 benchmark name")
-    prof.add_argument("--threads", type=int, default=16)
-    prof.add_argument(
-        "--threshold", type=float, default=85.0, help="T_th [degC]"
     )
     prof.add_argument(
         "--max-time-s",
@@ -830,27 +781,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         default=None,
         help="render the profile of a saved JSONL stream instead of running",
-    )
-    prof.add_argument(
-        "--faults",
-        metavar="PATH",
-        default=None,
-        help="JSON fault script (list of {kind, ...} dicts, see "
-        "docs/ROBUSTNESS.md) injected into the profiled run; enables "
-        "the thermal watchdog, health monitor and estimator fallback",
-    )
-    prof.add_argument(
-        "--interval-kernel",
-        action="store_true",
-        help="arm the interval-kernel fast path (propagator caches, "
-        "Woodbury solver corrections, quiescent fast-forwarding; see "
-        "docs/PERFORMANCE.md). Auto-disabled when --faults is given",
-    )
-    prof.add_argument(
-        "--exact-kernel",
-        action="store_true",
-        help="force the classic exact interval loop even with "
-        "--interval-kernel: the A/B switch for validating the fast path",
     )
     trace = sub.add_parser(
         "trace",

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,22 @@ from repro.thermal.sensors import TemperatureSensorBank
 #: (including :class:`~repro.exceptions.ConvergenceError`) and the dense
 #: / sparse singular-solve escapes (SuperLU raises ``RuntimeError``).
 ESTIMATOR_FAILURES = (ThermalModelError, np.linalg.LinAlgError, RuntimeError)
+
+#: Counters every recorded run pre-registers at zero, so exports always
+#: carry them (the contract in docs/OBSERVABILITY.md).
+CONTRACT_COUNTERS = (
+    "engine.intervals",
+    "engine.fast_forwarded_intervals",
+    "temp.violations",
+    "tec.switch_events",
+    "fan.level_changes",
+    "controller.hot_iterations",
+    "controller.cool_iterations",
+    "thermal.propagator_hits",
+    "thermal.propagator_misses",
+    "thermal.woodbury_solves",
+    "thermal.woodbury_fallbacks",
+)
 
 
 @dataclass
@@ -197,6 +214,57 @@ class SimulationResult:
 
 
 @dataclass
+class _LoopState:
+    """Everything the control loop carries from one interval to the next.
+
+    The plant and actuator state plus the loop's accumulators: the fan
+    period's power/TEC sums, the run-average sums (divided by
+    ``time_s`` only when the result is built), the clocks, and the
+    interval kernel's quiescence detector. A checkpoint's ``loop`` entry
+    is this object, so resuming a run is re-entering
+    :meth:`SimulationEngine._simulate` with it.
+    """
+
+    state: ActuatorState
+    t_nodes: np.ndarray
+    #: Effective TEC activation of the previous interval (engagement
+    #: delay bookkeeping).
+    prev_tec: np.ndarray
+    fan_accum_p: np.ndarray
+    fan_accum_tec: np.ndarray
+    run_avg_p: np.ndarray
+    run_avg_tec: np.ndarray
+    fan_accum_n: int = 0
+    time_s: float = 0.0
+    total_instructions: float = 0.0
+    intervals: int = 0
+    quiet: int = 0
+    prev_activity: np.ndarray | None = None
+    prev_steady: np.ndarray | None = None
+
+    @classmethod
+    def start(
+        cls,
+        system: CMPSystem,
+        state: ActuatorState,
+        t_nodes: np.ndarray,
+        prev_tec: np.ndarray,
+    ) -> _LoopState:
+        """Zeroed accumulators and clocks at the given plant state."""
+        n_comp = system.nodes.n_components
+        n_tec = system.n_tec_devices
+        return cls(
+            state=state,
+            t_nodes=t_nodes,
+            prev_tec=prev_tec,
+            fan_accum_p=np.zeros(n_comp),
+            fan_accum_tec=np.zeros(n_tec),
+            run_avg_p=np.zeros(n_comp),
+            run_avg_tec=np.zeros(n_tec),
+        )
+
+
+@dataclass
 class _RunGuards:
     """Per-run robustness state: built fresh for every recorded run."""
 
@@ -311,7 +379,6 @@ class SimulationEngine:
         """Simulate until the workload finishes (or ``max_time_s``)."""
         system = self.system
         cfg = self.config
-        profile = run.workload.component_profile
         dvfs = system.dvfs
 
         if initial_state is None:
@@ -335,106 +402,36 @@ class SimulationEngine:
         # initial guess until consecutive peaks agree; warm-starting at
         # the initial configuration's steady state plus a short silent
         # priming pass is the converged equivalent.
-        # Run context for the telemetry manifest (no-op when disabled;
-        # last run before export wins).
-        obs.annotate("engine_config", cfg)
-        obs.annotate("workload", run.workload.name)
-        obs.annotate("policy", controller.name)
-        # The trace analysis tools (``tecfan trace anomalies``) read the
-        # threshold back from the manifest to judge thermal excursions.
-        obs.annotate("t_threshold_c", self.problem.t_threshold_c)
-        # Pre-register the contract counters (docs/OBSERVABILITY.md) so
-        # exports always carry them, even at zero.
-        for counter in (
-            "engine.intervals",
-            "engine.fast_forwarded_intervals",
-            "temp.violations",
-            "tec.switch_events",
-            "fan.level_changes",
-            "controller.hot_iterations",
-            "controller.cool_iterations",
-            "thermal.propagator_hits",
-            "thermal.propagator_misses",
-            "thermal.woodbury_solves",
-            "thermal.woodbury_fallbacks",
-        ):
-            obs.incr(counter, 0)
-
-        # Interval-kernel runs arm the solver's Woodbury corrections for
-        # the whole run (priming included); the forced-exact A/B switch
-        # explicitly disarms them. Default runs never touch the solver.
-        solver = system.solver
-        restore_woodbury = None
-        if cfg.interval_kernel or cfg.exact_kernel:
-            restore_woodbury = solver.use_woodbury
-            solver.use_woodbury = cfg.kernel_active
-        try:
-            t_nodes = self._initial_field(run, state, profile, cfg.warm_start)
-            prev_tec = state.tec.copy()
+        with self._solver_mode():
+            loop = _LoopState.start(
+                system,
+                state,
+                self._initial_field(run, state, cfg.warm_start),
+                state.tec.copy(),
+            )
             if cfg.priming_intervals > 0:
                 # Same run type (WorkloadRun/ServerTraceRun), fresh state.
                 primer = type(run)(run.workload, run.chip, run.ref_freq_ghz)
                 with obs.span("engine.prime"):
-                    state, t_nodes, prev_tec, _, _, _, _ = self._simulate(
+                    loop = self._simulate(
                         primer,
                         controller,
-                        state,
-                        t_nodes,
-                        prev_tec,
+                        loop,
                         estimator,
                         trace=None,
                         max_intervals=cfg.priming_intervals,
                     )
-
-            trace = TraceRecorder()
-            ckpt = None
-            if cfg.checkpoint_every_s is not None:
-                ckpt = _Checkpointer(
-                    cfg.checkpoint_path, cfg.checkpoint_every_s
+                loop = _LoopState.start(
+                    system, loop.state, loop.t_nodes, loop.prev_tec
                 )
-            status = self._build_status(run, controller, ckpt)
-            with obs.span("engine.run"):
-                (
-                    state,
-                    t_nodes,
-                    prev_tec,
-                    time_s,
-                    total_instructions,
-                    avg_p,
-                    avg_tec,
-                ) = self._simulate(
-                    run,
-                    controller,
-                    state,
-                    t_nodes,
-                    prev_tec,
-                    estimator,
-                    trace=trace,
-                    max_intervals=None,
-                    guards=self._build_guards(),
-                    checkpoint=ckpt,
-                    status=status,
-                )
-        finally:
-            if restore_woodbury is not None:
-                solver.use_woodbury = restore_woodbury
-
-        metrics = summarize(
-            trace,
-            self.problem,
-            policy=controller.name,
-            workload=run.workload.name,
-            fan_level=int(state.fan_level),
-            instructions=total_instructions,
-        )
-        return SimulationResult(
-            metrics=metrics,
-            trace=trace,
-            final_state=state,
-            estimator=estimator,
-            avg_p_components_w=avg_p,
-            avg_tec=avg_tec,
-        )
+            return self._execute(
+                run,
+                controller,
+                estimator,
+                self._build_guards(),
+                TraceRecorder(),
+                loop,
+            )
 
     # ------------------------------------------------------------------
     def resume(self, ck: dict) -> SimulationResult:
@@ -445,36 +442,11 @@ class SimulationEngine:
         the payload's own system/problem/config (see
         :func:`repro.checkpoint.resume_engine_run`). No priming pass
         and no fresh guard construction happen here — the checkpoint
-        carries the mid-run controller, estimator, fault scheduler and
-        guard state machines, and the loop re-enters exactly where the
-        snapshot was taken. The completed result is bit-identical,
-        field by field, to the uninterrupted run.
+        carries the mid-run controller, estimator, fault scheduler,
+        guard state machines and loop state, and the loop re-enters
+        exactly where the snapshot was taken. The completed result is
+        bit-identical, field by field, to the uninterrupted run.
         """
-        cfg = self.config
-        run = ck["run"]
-        controller = ck["controller"]
-        estimator = ck["estimator"]
-        guards = ck["guards"]
-        trace = ck["trace"]
-
-        obs.annotate("engine_config", cfg)
-        obs.annotate("workload", run.workload.name)
-        obs.annotate("policy", controller.name)
-        obs.annotate("t_threshold_c", self.problem.t_threshold_c)
-        for counter in (
-            "engine.intervals",
-            "engine.fast_forwarded_intervals",
-            "temp.violations",
-            "tec.switch_events",
-            "fan.level_changes",
-            "controller.hot_iterations",
-            "controller.cool_iterations",
-            "thermal.propagator_hits",
-            "thermal.propagator_misses",
-            "thermal.woodbury_solves",
-            "thermal.woodbury_fallbacks",
-        ):
-            obs.incr(counter, 0)
         # Carry the interrupted run's counters forward so post-resume
         # telemetry sums over the whole logical run. Cache-rebuild
         # counters (thermal.factorizations, lu_evictions) can exceed an
@@ -486,68 +458,101 @@ class SimulationEngine:
                 if counters[name]:
                     obs.incr(name, counters[name])
 
-        solver = self.system.solver
-        restore_woodbury = None
-        if cfg.interval_kernel or cfg.exact_kernel:
-            restore_woodbury = solver.use_woodbury
-            solver.use_woodbury = cfg.kernel_active
-        try:
+        with self._solver_mode():
             if ck.get("solver_cache") is not None:
                 # Replay the warm LU/Woodbury cache in its snapshotted
                 # LRU order: Woodbury corrections are history-dependent
                 # (nearest cached base), so the resumed solver must see
                 # the same cache the live one held.
-                solver.restore_cache(ck["solver_cache"])
-            ckpt = None
-            if cfg.checkpoint_every_s is not None:
-                ckpt = _Checkpointer(
-                    cfg.checkpoint_path,
-                    cfg.checkpoint_every_s,
-                    start_s=ck["loop"]["time_s"],
-                )
-            status = self._build_status(run, controller, ckpt)
-            with obs.span("engine.run"):
-                (
-                    state,
-                    t_nodes,
-                    prev_tec,
-                    time_s,
-                    total_instructions,
-                    avg_p,
-                    avg_tec,
-                ) = self._simulate(
-                    run,
-                    controller,
-                    ck["state"],
-                    ck["t_nodes"],
-                    ck["prev_tec"],
-                    estimator,
-                    trace=trace,
-                    max_intervals=None,
-                    guards=guards,
-                    checkpoint=ckpt,
-                    status=status,
-                    resume=dict(ck["loop"]),
-                )
+                self.system.solver.restore_cache(ck["solver_cache"])
+            return self._execute(
+                ck["run"],
+                ck["controller"],
+                ck["estimator"],
+                ck["guards"],
+                ck["trace"],
+                ck["loop"],
+            )
+
+    @contextmanager
+    def _solver_mode(self):
+        """Arm the solver's Woodbury corrections for one run.
+
+        Interval-kernel runs arm them for the whole run (priming
+        included); the forced-exact A/B switch explicitly disarms them.
+        The previous setting is restored on exit. Default runs never
+        touch the solver.
+        """
+        cfg = self.config
+        if not (cfg.interval_kernel or cfg.exact_kernel):
+            yield
+            return
+        solver = self.system.solver
+        saved = solver.use_woodbury
+        solver.use_woodbury = cfg.kernel_active
+        try:
+            yield
         finally:
-            if restore_woodbury is not None:
-                solver.use_woodbury = restore_woodbury
+            solver.use_woodbury = saved
+
+    def _execute(
+        self,
+        run: WorkloadRun,
+        controller: Controller,
+        estimator,
+        guards: _RunGuards | None,
+        trace: TraceRecorder,
+        loop: _LoopState,
+    ) -> SimulationResult:
+        """The recorded run, fresh or resumed, from ``loop`` to the end."""
+        cfg = self.config
+        # Run context for the telemetry manifest (no-op when disabled;
+        # last run before export wins). The trace analysis tools
+        # (``tecfan trace anomalies``) read the threshold back from the
+        # manifest to judge thermal excursions.
+        obs.annotate("engine_config", cfg)
+        obs.annotate("workload", run.workload.name)
+        obs.annotate("policy", controller.name)
+        obs.annotate("t_threshold_c", self.problem.t_threshold_c)
+        for counter in CONTRACT_COUNTERS:
+            obs.incr(counter, 0)
+
+        ckpt = None
+        if cfg.checkpoint_every_s is not None:
+            ckpt = _Checkpointer(
+                cfg.checkpoint_path, cfg.checkpoint_every_s, start_s=loop.time_s
+            )
+        status = self._build_status(run, controller, ckpt)
+        with obs.span("engine.run"):
+            loop = self._simulate(
+                run,
+                controller,
+                loop,
+                estimator,
+                trace=trace,
+                max_intervals=None,
+                guards=guards,
+                checkpoint=ckpt,
+                status=status,
+            )
 
         metrics = summarize(
             trace,
             self.problem,
             policy=controller.name,
             workload=run.workload.name,
-            fan_level=int(state.fan_level),
-            instructions=total_instructions,
+            fan_level=int(loop.state.fan_level),
+            instructions=loop.total_instructions,
         )
+        # x / 1.0 == x exactly, so an empty run keeps its zero sums.
+        span_s = loop.time_s if loop.time_s > 0 else 1.0
         return SimulationResult(
             metrics=metrics,
             trace=trace,
-            final_state=state,
+            final_state=loop.state,
             estimator=estimator,
-            avg_p_components_w=avg_p,
-            avg_tec=avg_tec,
+            avg_p_components_w=loop.run_avg_p / span_s,
+            avg_tec=loop.run_avg_tec / span_s,
         )
 
     def _write_checkpoint(
@@ -558,10 +563,7 @@ class SimulationEngine:
         estimator,
         guards: _RunGuards | None,
         trace: TraceRecorder,
-        state: ActuatorState,
-        t_nodes: np.ndarray,
-        prev_tec: np.ndarray,
-        loop: dict,
+        loop: _LoopState,
     ) -> None:
         """Snapshot the entire loop as one pickled payload.
 
@@ -588,9 +590,6 @@ class SimulationEngine:
                 "estimator": estimator,
                 "guards": guards,
                 "trace": trace,
-                "state": state,
-                "t_nodes": t_nodes,
-                "prev_tec": prev_tec,
                 "loop": loop,
                 "solver_cache": (
                     solver.snapshot_cache() if solver.use_woodbury else None
@@ -608,30 +607,27 @@ class SimulationEngine:
         self,
         run: WorkloadRun,
         controller: Controller,
-        state: ActuatorState,
-        t_nodes: np.ndarray,
-        prev_tec: np.ndarray,
+        loop: _LoopState,
         estimator: NextIntervalEstimator,
         trace: TraceRecorder | None,
         max_intervals: int | None,
         guards: _RunGuards | None = None,
         checkpoint: _Checkpointer | None = None,
         status=None,
-        resume: dict | None = None,
-    ):
-        """Advance the plant + controller loop; optionally record.
+    ) -> _LoopState:
+        """Advance the plant + controller loop from ``loop``; optionally record.
 
-        ``guards`` carries the run's robustness machinery (fault
-        injection, watchdog, health monitor, sensor validation,
-        estimator fallback). When it is None — every unhardened run and
-        every priming pass — the loop takes exactly the classic code
-        path, so fault-capable engines remain bit-identical to the
-        original on healthy runs.
+        ``loop`` is advanced in place and returned. ``guards`` carries
+        the run's robustness machinery (fault injection, watchdog,
+        health monitor, sensor validation, estimator fallback). When it
+        is None — every unhardened run and every priming pass — the loop
+        takes exactly the classic code path, so fault-capable engines
+        remain bit-identical to the original on healthy runs.
 
         ``checkpoint`` snapshots the whole loop to disk each time
-        simulated time crosses its cadence; ``resume`` restores the
-        loop-local variables a snapshot captured, so a resumed run
-        re-enters the loop exactly where the checkpoint left it.
+        simulated time crosses its cadence; a resumed run passes the
+        snapshot's ``loop`` back in and so re-enters the loop exactly
+        where the checkpoint left it.
 
         ``status`` is the optional live-status reporter
         (:class:`repro.obs.live.RunStatusReporter`): polled at the loop
@@ -649,14 +645,6 @@ class SimulationEngine:
         watchdog = guards.watchdog if guards is not None else None
         health = guards.health if guards is not None else None
         validator = guards.sensor_validator if guards is not None else None
-        fan_accum_p = np.zeros(system.nodes.n_components)
-        fan_accum_tec = np.zeros(system.n_tec_devices)
-        fan_accum_n = 0
-        run_avg_p = np.zeros(system.nodes.n_components)
-        run_avg_tec = np.zeros(system.n_tec_devices)
-        time_s = 0.0
-        total_instructions = 0.0
-        intervals = 0
 
         # Interval-kernel fast path (docs/PERFORMANCE.md): armed only on
         # recorded, unhardened, noise-free runs driven by a policy that
@@ -669,67 +657,30 @@ class SimulationEngine:
             and trace is not None
             and getattr(controller, "fast_forward_safe", False)
         )
-        quiet = 0
-        prev_activity = None
-        prev_steady = None
 
-        if resume is not None:
-            fan_accum_p = resume["fan_accum_p"]
-            fan_accum_tec = resume["fan_accum_tec"]
-            fan_accum_n = resume["fan_accum_n"]
-            run_avg_p = resume["run_avg_p"]
-            run_avg_tec = resume["run_avg_tec"]
-            time_s = resume["time_s"]
-            total_instructions = resume["total_instructions"]
-            intervals = resume["intervals"]
-            quiet = resume["quiet"]
-            prev_activity = resume["prev_activity"]
-            prev_steady = resume["prev_steady"]
-
-        while not run.finished and time_s < cfg.max_time_s:
-            if max_intervals is not None and intervals >= max_intervals:
+        while not run.finished and loop.time_s < cfg.max_time_s:
+            if max_intervals is not None and loop.intervals >= max_intervals:
                 break
-            if checkpoint is not None and time_s >= checkpoint.next_due:
+            if checkpoint is not None and loop.time_s >= checkpoint.next_due:
                 self._write_checkpoint(
-                    checkpoint,
-                    run,
-                    controller,
-                    estimator,
-                    guards,
-                    trace,
-                    state,
-                    t_nodes,
-                    prev_tec,
-                    {
-                        "fan_accum_p": fan_accum_p,
-                        "fan_accum_tec": fan_accum_tec,
-                        "fan_accum_n": fan_accum_n,
-                        "run_avg_p": run_avg_p,
-                        "run_avg_tec": run_avg_tec,
-                        "time_s": time_s,
-                        "total_instructions": total_instructions,
-                        "intervals": intervals,
-                        "quiet": quiet,
-                        "prev_activity": prev_activity,
-                        "prev_steady": prev_steady,
-                    },
+                    checkpoint, run, controller, estimator, guards, trace, loop
                 )
-                checkpoint.advance(time_s)
+                checkpoint.advance(loop.time_s)
             if status is not None:
                 status.maybe_report(
-                    time_s=time_s,
-                    t_nodes=t_nodes,
+                    time_s=loop.time_s,
+                    t_nodes=loop.t_nodes,
                     trace=trace,
-                    intervals=intervals,
-                    total_instructions=total_instructions,
-                    state=state,
+                    intervals=loop.intervals,
+                    total_instructions=loop.total_instructions,
+                    state=loop.state,
                 )
-            if kernel and quiet >= cfg.fast_forward_quiet:
+            if kernel and loop.quiet >= cfg.fast_forward_quiet:
                 k_cap = min(
                     cfg.fast_forward_max,
                     # Reserve the final interval for the classic loop so
                     # the fractional-dt completion accounting is exact.
-                    int((cfg.max_time_s - time_s) / cfg.dt_lower_s + 1e-9)
+                    int((cfg.max_time_s - loop.time_s) / cfg.dt_lower_s + 1e-9)
                     - 1,
                 )
                 if cfg.dynamic_fan:
@@ -737,42 +688,17 @@ class SimulationEngine:
                         np.ceil(cfg.fan_period_s / cfg.dt_lower_s - 1e-9)
                     )
                     # The fan-boundary interval must run classic too.
-                    k_cap = min(k_cap, per_period - fan_accum_n - 1)
-                k = 0
-                if k_cap >= 1:
-                    (
-                        k,
-                        t_nodes,
-                        inst_k,
-                        p_comp_sum,
-                        end_time,
-                    ) = self._fast_forward(
-                        run,
-                        state,
-                        t_nodes,
-                        prev_steady,
-                        prev_activity,
-                        trace,
-                        time_s,
-                        k_cap,
-                    )
-                if k:
-                    total_instructions += inst_k
-                    fan_accum_p += p_comp_sum
-                    fan_accum_tec += k * state.tec
-                    run_avg_p += p_comp_sum * cfg.dt_lower_s
-                    run_avg_tec += state.tec * (k * cfg.dt_lower_s)
-                    fan_accum_n += k
-                    time_s = end_time
-                    intervals += k
-                    obs.incr("engine.fast_forwarded_intervals", k)
+                    k_cap = min(k_cap, per_period - loop.fan_accum_n - 1)
+                if k_cap >= 1 and self._fast_forward(run, loop, trace, k_cap):
                     # Re-arm after one classic interval: the controller
                     # always observes between chunks.
-                    quiet = cfg.fast_forward_quiet - 1
+                    loop.quiet = cfg.fast_forward_quiet - 1
                     continue
-                quiet = 0
-            intervals += 1
+                loop.quiet = 0
+            loop.intervals += 1
             dt = cfg.dt_lower_s
+            state = loop.state
+            time_s = loop.time_s
 
             with obs.span("engine.step"):
                 # ---- faults: commanded -> effective actuation -------------
@@ -802,16 +728,17 @@ class SimulationEngine:
                 p_dyn = system.power.component_power.dynamic_power_w(
                     activity, eff_dvfs, profile
                 )
-                tec_pump = self._effective_tec(eff_tec, prev_tec, dt)
+                tec_pump = self._effective_tec(eff_tec, loop.prev_tec, dt)
 
                 # ---- plant: thermal step ----------------------------------
                 comp = system.nodes.component_slice
                 t_steady, _ = system.plant_thermal.solve(
-                    p_dyn, eff_fan, tec_pump, t_guess_k=t_nodes[comp]
+                    p_dyn, eff_fan, tec_pump, t_guess_k=loop.t_nodes[comp]
                 )
                 t_nodes = system.transient.step(
-                    t_nodes, t_steady, dt, eff_fan, tec_pump
+                    loop.t_nodes, t_steady, dt, eff_fan, tec_pump
                 )
+                loop.t_nodes = t_nodes
                 t_comp_c = system.component_temps_c(t_nodes)
                 p_leak = system.power.plant_leakage.per_component_w(
                     t_nodes[comp]
@@ -820,7 +747,7 @@ class SimulationEngine:
                 # ---- plant: performance and energy accounting -------------
                 inst = run.advance(dt, freqs)
                 ips_cores = inst / dt
-                total_instructions += float(inst.sum())
+                loop.total_instructions += float(inst.sum())
                 p_cores = float(p_dyn.sum() + p_leak.sum())
                 p_tec = system.tec_power_w(tec_pump, t_nodes)
                 p_fan = system.fan.power_w(eff_fan)
@@ -861,7 +788,7 @@ class SimulationEngine:
                     state=state,
                     dt_s=dt,
                 )
-                prev_tec = eff_tec.copy()
+                loop.prev_tec = eff_tec.copy()
                 tripped = (
                     watchdog.feed(float(readings.max()))
                     if watchdog is not None
@@ -886,16 +813,19 @@ class SimulationEngine:
                     new_state = new_state.with_fan(state.fan_level)
 
                 # ---- controller: higher level (fan) -----------------------
-                fan_accum_p += p_dyn + p_leak
-                fan_accum_tec += tec_pump
-                run_avg_p += (p_dyn + p_leak) * dt
-                run_avg_tec += tec_pump * dt
-                fan_accum_n += 1
-                time_s += dt
-                if cfg.dynamic_fan and fan_accum_n * dt >= cfg.fan_period_s:
+                loop.fan_accum_p += p_dyn + p_leak
+                loop.fan_accum_tec += tec_pump
+                loop.run_avg_p += (p_dyn + p_leak) * dt
+                loop.run_avg_tec += tec_pump * dt
+                loop.fan_accum_n += 1
+                loop.time_s += dt
+                if (
+                    cfg.dynamic_fan
+                    and loop.fan_accum_n * dt >= cfg.fan_period_s
+                ):
                     if not tripped:
-                        avg_p = fan_accum_p / fan_accum_n
-                        avg_tec = fan_accum_tec / fan_accum_n
+                        avg_p = loop.fan_accum_p / loop.fan_accum_n
+                        avg_tec = loop.fan_accum_tec / loop.fan_accum_n
                         with obs.span("controller.decide_fan"):
                             try:
                                 level = controller.decide_fan(
@@ -911,9 +841,9 @@ class SimulationEngine:
                                 obs.incr("controller.fallbacks")
                                 level = new_state.fan_level
                         new_state = new_state.with_fan(level)
-                    fan_accum_p[:] = 0.0
-                    fan_accum_tec[:] = 0.0
-                    fan_accum_n = 0
+                    loop.fan_accum_p[:] = 0.0
+                    loop.fan_accum_tec[:] = 0.0
+                    loop.fan_accum_n = 0
 
                 # ---- health: divergence detection + reconciliation --------
                 if health is not None:
@@ -937,7 +867,7 @@ class SimulationEngine:
                         t_comp_c,
                         p_chip,
                         float(ips_cores.sum()),
-                        time_s - dt,
+                        loop.time_s - dt,
                         dt,
                     )
 
@@ -948,67 +878,52 @@ class SimulationEngine:
                         and not run.finished
                         and new_state.key() == state.key()
                         and np.array_equal(tec_pump, state.tec)
-                        and prev_activity is not None
-                        and np.array_equal(activity, prev_activity)
-                        and prev_steady is not None
-                        and float(np.max(np.abs(t_steady - prev_steady)))
+                        and loop.prev_activity is not None
+                        and np.array_equal(activity, loop.prev_activity)
+                        and loop.prev_steady is not None
+                        and float(np.max(np.abs(t_steady - loop.prev_steady)))
                         <= cfg.fast_forward_steady_tol_k
                     ):
-                        quiet += 1
+                        loop.quiet += 1
                     else:
-                        quiet = 0
-                    prev_activity = activity
-                    prev_steady = t_steady
-                state = new_state
+                        loop.quiet = 0
+                    loop.prev_activity = activity
+                    loop.prev_steady = t_steady
+                loop.state = new_state
 
-        if time_s > 0:
-            run_avg_p /= time_s
-            run_avg_tec /= time_s
         if status is not None:
             # Final snapshot so watchers see the completed run even if
             # the cadence never fired again near the end.
             status.maybe_report(
-                time_s=time_s,
-                t_nodes=t_nodes,
+                time_s=loop.time_s,
+                t_nodes=loop.t_nodes,
                 trace=trace,
-                intervals=intervals,
-                total_instructions=total_instructions,
-                state=state,
+                intervals=loop.intervals,
+                total_instructions=loop.total_instructions,
+                state=loop.state,
                 done=True,
                 force=True,
             )
-        return (
-            state,
-            t_nodes,
-            prev_tec,
-            time_s,
-            total_instructions,
-            run_avg_p,
-            run_avg_tec,
-        )
+        return loop
 
     # ------------------------------------------------------------------
     def _fast_forward(
         self,
         run: WorkloadRun,
-        state: ActuatorState,
-        t_nodes: np.ndarray,
-        t_steady: np.ndarray,
-        activity: np.ndarray,
+        loop: _LoopState,
         trace: TraceRecorder,
-        time_s: float,
         k_cap: int,
-    ):
+    ) -> int:
         """Advance up to ``k_cap`` quiescent intervals in closed form.
 
         Preconditions hold by construction of the caller's quiescence
         detector: no faults/sensors/watchdog, actuators unchanged, TEC
         engagement complete, the activity vector static, and the leakage
-        loop's steady state settled (so freezing ``t_steady`` across the
-        chunk is within the drift tolerance). The thermal trajectory is
-        then the paper's Eq. (4) relaxation, evaluated at every interval
-        boundary in one :meth:`PaperTransient.interpolate` call —
-        ``beta_k = exp(-k dt G_ii / C_i)`` per node.
+        loop's steady state settled (so freezing ``loop.prev_steady``
+        across the chunk is within the drift tolerance). The thermal
+        trajectory is then the paper's Eq. (4) relaxation, evaluated at
+        every interval boundary in one :meth:`PaperTransient.interpolate`
+        call — ``beta_k = exp(-k dt G_ii / C_i)`` per node.
 
         Instruction accounting still advances interval-by-interval:
         ``run.advance`` is called once per fast-forwarded interval, so
@@ -1017,13 +932,14 @@ class SimulationEngine:
         early the moment the activity vector or remaining-time check
         diverges from the quiescent pattern.
 
-        Returns ``(k, t_nodes, instructions, p_component_sum)`` with
-        ``k == 0`` when not a single interval qualified.
+        The chunk is folded into ``loop``; returns its length ``k``,
+        0 when not a single interval qualified.
         """
         system = self.system
-        cfg = self.config
-        dt = cfg.dt_lower_s
+        dt = self.config.dt_lower_s
         profile = run.workload.component_profile
+        state = loop.state
+        activity = loop.prev_activity
         freqs = system.dvfs.frequency_ghz(state.dvfs)
         inst_rows = []
         k = 0
@@ -1035,7 +951,7 @@ class SimulationEngine:
             inst_rows.append(run.advance(dt, freqs))
             k += 1
         if k == 0:
-            return 0, t_nodes, 0.0, None, time_s
+            return 0
 
         comp = system.nodes.component_slice
         p_dyn = system.power.component_power.dynamic_power_w(
@@ -1045,14 +961,15 @@ class SimulationEngine:
         # classic loop's ``time_s += dt`` — cumulative float error and
         # all — so fast-forwarded trace rows carry identical clocks.
         row_times = np.empty(k)
-        end_time = time_s
+        end_time = loop.time_s
         for j in range(k):
             row_times[j] = end_time
             end_time += dt
         times = dt * np.arange(1, k + 1)
         with obs.span("engine.fast_forward"):
             t_rows = system.transient.interpolate(
-                t_nodes, t_steady, times, state.fan_level, state.tec
+                loop.t_nodes, loop.prev_steady, times, state.fan_level,
+                state.tec,
             )
         t_comp_rows_c = units.k_to_c(t_rows[:, comp])
         p_leak_rows = system.power.plant_leakage.per_component_w(
@@ -1089,7 +1006,17 @@ class SimulationEngine:
                     dt,
                 )
         p_comp_sum = k * p_dyn + p_leak_rows.sum(axis=0)
-        return k, t_rows[-1].copy(), float(inst.sum()), p_comp_sum, end_time
+        loop.t_nodes = t_rows[-1].copy()
+        loop.total_instructions += float(inst.sum())
+        loop.fan_accum_p += p_comp_sum
+        loop.fan_accum_tec += k * state.tec
+        loop.run_avg_p += p_comp_sum * dt
+        loop.run_avg_tec += state.tec * (k * dt)
+        loop.fan_accum_n += k
+        loop.time_s = end_time
+        loop.intervals += k
+        obs.incr("engine.fast_forwarded_intervals", k)
+        return k
 
     # ------------------------------------------------------------------
     def _record_interval(
@@ -1137,13 +1064,13 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------
     def _initial_field(
-        self, run: WorkloadRun, state: ActuatorState, profile, warm: bool
+        self, run: WorkloadRun, state: ActuatorState, warm: bool
     ) -> np.ndarray:
         system = self.system
         if not warm:
             return system.uniform_initial_temps_k()
         p_dyn = system.power.component_power.dynamic_power_w(
-            run.activity_vector(), state.dvfs, profile
+            run.activity_vector(), state.dvfs, run.workload.component_profile
         )
         t_nodes, _ = system.plant_thermal.solve(
             p_dyn, state.fan_level, state.tec

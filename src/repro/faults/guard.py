@@ -30,12 +30,15 @@ an ``obs`` counter (``watchdog.trips``, ``health.masked_actuators``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.state import ActuatorState
 from repro.exceptions import ConfigurationError
 from repro.obs import telemetry as obs
+
+if TYPE_CHECKING:
+    from repro.core.state import ActuatorState
 
 
 # ----------------------------------------------------------------------
@@ -114,6 +117,11 @@ def safe_state(n_tec_devices: int, n_cores: int) -> ActuatorState:
     Every TEC on (local pumping costs no performance), every core at
     the lowest DVFS level, fan at level 1 (fastest).
     """
+    # Imported here: repro.core's package import loads the engine,
+    # which imports this module, so a module-level import would make
+    # ``import repro.faults`` circular.
+    from repro.core.state import ActuatorState
+
     return ActuatorState(
         tec=np.ones(n_tec_devices),
         dvfs=np.zeros(n_cores, dtype=int),

@@ -131,7 +131,8 @@ class BatchedStepper:
             )
             t_comp_a = t_nodes[:, self.system.nodes.component_slice]
             peak = t_comp_a.max(axis=1)
-            done = np.abs(peak - prev_peak[active]) < plant.tolerance_k
+            step = np.abs(peak - prev_peak[active])
+            done = step < plant.tolerance_k
             if np.any(done):
                 idx = active[done]
                 t_out[idx] = t_nodes[done]
@@ -144,7 +145,8 @@ class BatchedStepper:
         raise ConvergenceError(
             "fleet temperature-leakage loop did not converge",
             iterations=plant.max_iterations,
-            residual=float(np.abs(peak - prev_peak[active]).max()),
+            # The last pass's largest peak move among unconverged rows.
+            residual=float(step[~done].max()),
         )
 
     def advance(

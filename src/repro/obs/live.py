@@ -137,7 +137,7 @@ def read_status(path) -> dict:
 
 
 class _Cadence:
-    """Wall-clock due-time bookkeeping shared by both reporters.
+    """Wall-clock due-time bookkeeping shared by the reporters.
 
     The first call is always due (so watchers latch on immediately);
     afterwards snapshots fire at most once per ``every_s`` seconds of
@@ -161,10 +161,97 @@ class _Cadence:
         self._next_due = now + self.every_s
 
 
+class _StatusReporter:
+    """Cadence-gated status snapshots: the base of the three reporters.
+
+    Holds the sidecar path, the wall-clock cadence, the snapshot
+    sequence number and the history/throughput rings, and stamps every
+    snapshot with the common envelope (``schema``, ``kind``, ``seq``,
+    ``pid``, ``written_unix``, ``done``). Subclasses build the
+    kind-specific rest of the record in ``_build``.
+    """
+
+    kind = "?"
+    #: Counter bumped per snapshot on top of :func:`write_status`'s own.
+    counter: str | None = None
+
+    def __init__(self, path, every_s: float, max_time_s: float = 0.0):
+        self.path = os.fspath(path)
+        self.cadence = _Cadence(every_s)
+        self.max_time_s = float(max_time_s)
+        self.seq = 0
+        self._history: deque = deque(maxlen=HISTORY_LEN)
+        self._rate: deque = deque(maxlen=RATE_WINDOW)
+
+    def maybe_report(self, *, done: bool = False, force: bool = False,
+                     **fields) -> bool:
+        """Write a snapshot if one is due; returns whether it was."""
+        now = time.monotonic()
+        if not force and not self.cadence.due(now):
+            return False
+        self.cadence.advance(now)
+        status = {
+            "schema": STATUS_SCHEMA,
+            "kind": self.kind,
+            "seq": self.seq,
+            "pid": os.getpid(),
+            "written_unix": time.time(),
+            "done": bool(done),
+        }
+        status.update(self._build(now, done, **fields))
+        write_status(self.path, status)
+        if self.counter is not None:
+            obs.incr(self.counter)
+        self.seq += 1
+        return True
+
+    def _build(self, now: float, done: bool, **fields) -> dict:
+        raise NotImplementedError
+
+    def _eta(self, now: float, progress: float, remaining: float | None = None):
+        """(progress per wall-second, wall seconds left) from recent samples.
+
+        ``remaining`` defaults to the simulated time left until
+        ``max_time_s``, with ``progress`` the simulated clock.
+        """
+        self._rate.append((now, progress))
+        if len(self._rate) < 2:
+            return None, None
+        (w0, p0), (w1, p1) = self._rate[0], self._rate[-1]
+        if w1 <= w0 or p1 <= p0:
+            return None, None
+        rate = (p1 - p0) / (w1 - w0)
+        if remaining is None:
+            remaining = max(0.0, self.max_time_s - progress)
+        return rate, remaining / rate
+
+    @staticmethod
+    def _counters(prefixes: tuple = ()) -> dict:
+        """The active session's counters (those under ``prefixes``, if any)."""
+        tel = obs.get_telemetry()
+        if tel is None:
+            return {}
+        return {
+            n: c.value
+            for n, c in sorted(tel.metrics._counters.items())
+            if not prefixes or n.startswith(prefixes)
+        }
+
+    def _progress(self, now: float, time_s: float, done: bool):
+        """(fraction, rate, eta_s) of a simulated clock run to max_time_s."""
+        rate, eta_s = self._eta(now, time_s)
+        if done:
+            return 1.0, rate, 0.0
+        fraction = (
+            min(1.0, time_s / self.max_time_s) if self.max_time_s > 0 else 0.0
+        )
+        return fraction, rate, eta_s
+
+
 # ----------------------------------------------------------------------
 # Engine-side reporter
 # ----------------------------------------------------------------------
-class RunStatusReporter:
+class RunStatusReporter(_StatusReporter):
     """Periodic status snapshots of one live engine run.
 
     Built by :meth:`SimulationEngine.run`/``resume`` when
@@ -176,6 +263,8 @@ class RunStatusReporter:
     counters, and never touches the plant, the RNGs, or the trace — the
     run's ``result_digest`` is identical with or without it.
     """
+
+    kind = "engine-run"
 
     def __init__(
         self,
@@ -189,9 +278,7 @@ class RunStatusReporter:
         policy: str = "?",
         checkpoint=None,
     ):
-        self.path = os.fspath(path)
-        self.cadence = _Cadence(every_s)
-        self.max_time_s = float(max_time_s)
+        super().__init__(path, every_s, max_time_s)
         self.t_threshold_c = t_threshold_c
         self.system = system
         self.workload = workload
@@ -199,55 +286,15 @@ class RunStatusReporter:
         #: The run's ``_Checkpointer`` (or None); its ``last_write_unix``
         #: stamp feeds the checkpoint-age field.
         self.checkpoint = checkpoint
-        self.seq = 0
         # Incremental trace accumulation: O(new rows) per snapshot.
         self._row_pos = 0
         self._energy_j = 0.0
         self._run_peak_c = float("-inf")
         self._last_row = None
-        self._history: deque = deque(maxlen=HISTORY_LEN)
-        self._rate: deque = deque(maxlen=RATE_WINDOW)
-
-    # -- throughput ----------------------------------------------------
-    def _eta(self, now: float, time_s: float) -> tuple[float | None, float | None]:
-        """(sim-seconds per wall-second, seconds to ``max_time_s``)."""
-        self._rate.append((now, time_s))
-        if len(self._rate) < 2:
-            return None, None
-        (w0, s0), (w1, s1) = self._rate[0], self._rate[-1]
-        if w1 <= w0 or s1 <= s0:
-            return None, None
-        rate = (s1 - s0) / (w1 - w0)
-        remaining = max(0.0, self.max_time_s - time_s)
-        return rate, remaining / rate
-
-    # -- the hook ------------------------------------------------------
-    def maybe_report(
-        self,
-        *,
-        time_s: float,
-        t_nodes,
-        trace,
-        intervals: int,
-        total_instructions: float,
-        state,
-        done: bool = False,
-        force: bool = False,
-    ) -> bool:
-        """Write a snapshot if one is due; returns whether it was."""
-        now = time.monotonic()
-        if not force and not self.cadence.due(now):
-            return False
-        self.cadence.advance(now)
-        write_status(self.path, self._build(now, time_s, t_nodes, trace,
-                                            intervals, total_instructions,
-                                            state, done))
-        self.seq += 1
-        return True
 
     def _build(
-        self, now, time_s, t_nodes, trace, intervals,
-        total_instructions, state, done,
+        self, now, done, *, time_s, t_nodes, trace, intervals,
+        total_instructions, state,
     ) -> dict:
         # Fold the trace rows grown since the last snapshot.
         if trace is not None:
@@ -281,20 +328,9 @@ class RunStatusReporter:
                 ),
             }
 
-        rate, eta_s = self._eta(now, time_s)
-        fraction = (
-            min(1.0, time_s / self.max_time_s) if self.max_time_s > 0 else 0.0
-        )
-        if done:
-            fraction = 1.0
-            eta_s = 0.0
+        fraction, rate, eta_s = self._progress(now, time_s, done)
 
-        counters = {}
-        tel = obs.get_telemetry()
-        if tel is not None:
-            counters = {
-                n: c.value for n, c in sorted(tel.metrics._counters.items())
-            }
+        counters = self._counters()
         cache = None
         hits = counters.get("thermal.propagator_hits")
         misses = counters.get("thermal.propagator_misses")
@@ -335,12 +371,6 @@ class RunStatusReporter:
             })
 
         return {
-            "schema": STATUS_SCHEMA,
-            "kind": "engine-run",
-            "seq": self.seq,
-            "pid": os.getpid(),
-            "written_unix": time.time(),
-            "done": bool(done),
             "workload": self.workload,
             "policy": self.policy,
             "t_threshold_c": self.t_threshold_c,
@@ -375,7 +405,7 @@ class RunStatusReporter:
 # ----------------------------------------------------------------------
 # Pool-side reporter (heartbeats)
 # ----------------------------------------------------------------------
-class PoolStatusReporter:
+class PoolStatusReporter(_StatusReporter):
     """Periodic status snapshots of one pool/sweep fan-out.
 
     The heartbeats piggyback the existing duplex pipes: the parent-side
@@ -388,10 +418,12 @@ class PoolStatusReporter:
     Each snapshot increments ``parallel.heartbeats``.
     """
 
+    kind = "pool"
+    counter = "parallel.heartbeats"
+
     def __init__(self, path, *, every_s: float = 1.0, total: int = 0,
                  meta: dict | None = None):
-        self.path = os.fspath(path)
-        self.cadence = _Cadence(every_s)
+        super().__init__(path, every_s)
         self.total = int(total)
         self.meta = dict(meta or {})
         #: Outer payload indices for journal-resumed sub-batches: the
@@ -404,10 +436,7 @@ class PoolStatusReporter:
         self.retries = 0
         self.timeouts = 0
         self.shm_bytes = 0
-        self.seq = 0
         self._workers: dict = {}
-        self._rate: deque = deque(maxlen=RATE_WINDOW)
-        self._history: deque = deque(maxlen=HISTORY_LEN)
 
     # -- bookkeeping fed by the scheduler ------------------------------
     def _display_index(self, index: int) -> int:
@@ -452,31 +481,15 @@ class PoolStatusReporter:
         self.shm_bytes += int(nbytes)
 
     # -- reporting -----------------------------------------------------
-    def maybe_report(self, *, in_flight: int = 0, queued: int = 0,
-                     done: bool = False, force: bool = False) -> bool:
-        """Write a heartbeat snapshot if one is due."""
-        now = time.monotonic()
-        if not force and not self.cadence.due(now):
-            return False
-        self.cadence.advance(now)
-        write_status(self.path, self._build(now, in_flight, queued, done))
-        obs.incr("parallel.heartbeats")
-        self.seq += 1
-        return True
-
     def finish(self) -> None:
         """Force the final (``done``) snapshot after the fan-out."""
         self.maybe_report(in_flight=0, queued=0, done=True, force=True)
 
-    def _build(self, now, in_flight, queued, done) -> dict:
+    def _build(self, now, done, *, in_flight: int = 0, queued: int = 0) -> dict:
         settled = self.done + self.failed + len(self.replayed)
-        self._rate.append((now, self.done))
-        rate = eta_s = None
-        if len(self._rate) >= 2:
-            (w0, d0), (w1, d1) = self._rate[0], self._rate[-1]
-            if w1 > w0 and d1 > d0:
-                rate = (d1 - d0) / (w1 - w0)
-                eta_s = max(0, self.total - settled) / rate
+        rate, eta_s = self._eta(
+            now, self.done, remaining=max(0, self.total - settled)
+        )
         now_unix = time.time()
         workers = []
         for pid in sorted(self._workers):
@@ -493,12 +506,6 @@ class PoolStatusReporter:
             })
         self._history.append({"done": settled})
         return {
-            "schema": STATUS_SCHEMA,
-            "kind": "pool",
-            "seq": self.seq,
-            "pid": os.getpid(),
-            "written_unix": now_unix,
-            "done": bool(done),
             "meta": self.meta,
             "tasks": {
                 "total": self.total,
@@ -525,7 +532,7 @@ class PoolStatusReporter:
         }
 
 
-class FleetStatusReporter:
+class FleetStatusReporter(_StatusReporter):
     """Periodic ``fleet``-kind snapshots of one live fleet shard.
 
     Written from the :class:`repro.fleet.sim.FleetSim` loop top (serial
@@ -534,6 +541,8 @@ class FleetStatusReporter:
     engine reporter: side-effect-free reads of loop state, so a run's
     digest is identical with or without a status file attached.
     """
+
+    kind = "fleet"
 
     def __init__(
         self,
@@ -546,50 +555,19 @@ class FleetStatusReporter:
         router: str = "?",
         stepper: str = "?",
     ):
-        self.path = os.fspath(path)
-        self.cadence = _Cadence(every_s)
+        super().__init__(path, every_s, max_time_s)
         self.n_nodes = int(n_nodes)
-        self.max_time_s = float(max_time_s)
         self.t_threshold_c = t_threshold_c
         self.router = router
         self.stepper = stepper
-        self.seq = 0
-        self._history: deque = deque(maxlen=HISTORY_LEN)
-        self._rate: deque = deque(maxlen=RATE_WINDOW)
-
-    def _eta(self, now: float, time_s: float):
-        self._rate.append((now, time_s))
-        if len(self._rate) < 2:
-            return None, None
-        (w0, s0), (w1, s1) = self._rate[0], self._rate[-1]
-        if w1 <= w0 or s1 <= s0:
-            return None, None
-        rate = (s1 - s0) / (w1 - w0)
-        return rate, max(0.0, self.max_time_s - time_s) / rate
-
-    def maybe_report(self, *, force: bool = False, done: bool = False,
-                     **fields) -> bool:
-        """Write a snapshot if one is due; returns whether it was."""
-        now = time.monotonic()
-        if not force and not self.cadence.due(now):
-            return False
-        self.cadence.advance(now)
-        write_status(self.path, self._build(now, done, fields))
-        self.seq += 1
-        return True
 
     def final(self, **fields) -> None:
         """Force the terminal (``done``) snapshot."""
         self.maybe_report(force=True, done=True, **fields)
 
-    def _build(self, now, done, f) -> dict:
+    def _build(self, now, done, **f) -> dict:
         time_s = float(f.get("time_s", 0.0))
-        rate, eta_s = self._eta(now, time_s)
-        fraction = (
-            min(1.0, time_s / self.max_time_s) if self.max_time_s > 0 else 0.0
-        )
-        if done:
-            fraction, eta_s = 1.0, 0.0
+        fraction, rate, eta_s = self._progress(now, time_s, done)
         peaks = f.get("node_peak_c")
         nodes = []
         if peaks is not None:
@@ -617,21 +595,8 @@ class FleetStatusReporter:
                 else None
             ),
         })
-        counters = {}
-        tel = obs.get_telemetry()
-        if tel is not None:
-            counters = {
-                n: c.value
-                for n, c in sorted(tel.metrics._counters.items())
-                if n.startswith(("fleet.", "server."))
-            }
+        counters = self._counters(("fleet.", "server."))
         return {
-            "schema": STATUS_SCHEMA,
-            "kind": "fleet",
-            "seq": self.seq,
-            "pid": os.getpid(),
-            "written_unix": time.time(),
-            "done": bool(done),
             "router": self.router,
             "stepper": self.stepper,
             "t_threshold_c": self.t_threshold_c,

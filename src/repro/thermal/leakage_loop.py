@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.exceptions import ConvergenceError
+from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.thermal.steady_state import SteadyStateSolver
 
 #: The paper's convergence criterion on peak temperature [degC == K delta].
@@ -42,6 +42,10 @@ class LeakageCoupledSolver:
     leakage_fn: Callable[[np.ndarray], np.ndarray]
     tolerance_k: float = PEAK_TOLERANCE_K
     max_iterations: int = MAX_ITERATIONS
+
+    def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ConfigurationError("the leakage loop needs at least one pass")
 
     def solve(
         self,
@@ -75,11 +79,12 @@ class LeakageCoupledSolver:
             )
             t_comp = t_nodes[comp]
             peak = float(t_comp.max())
-            if abs(peak - prev_peak) < self.tolerance_k:
+            step = abs(peak - prev_peak)
+            if step < self.tolerance_k:
                 return t_nodes, p_leak
             prev_peak = peak
         raise ConvergenceError(
             "temperature-leakage loop did not converge",
             iterations=self.max_iterations,
-            residual=abs(peak - prev_peak),
+            residual=step,
         )

@@ -39,12 +39,7 @@ import scipy.sparse.linalg as spla
 from repro.exceptions import ThermalModelError
 from repro.obs import telemetry as obs
 from repro.thermal.conductance import ConductanceModel
-from repro.thermal.keys import ActuatorKeyer, tec_key
-
-# Backwards-compatible alias: the quantization helper began life here
-# and moved to repro.thermal.keys when the transient caches started
-# sharing it.
-_tec_key = tec_key
+from repro.thermal.keys import ActuatorKeyer
 
 
 class _WoodburyOperator:

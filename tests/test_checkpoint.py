@@ -182,12 +182,12 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
 
 def test_load_checkpoint_rejects_wrong_schema(tmp_path):
     path = tmp_path / "old.pkl"
-    write_checkpoint(
-        path,
-        {"schema": CHECKPOINT_SCHEMA + 1, "kind": "engine-run"},
-    )
-    with pytest.raises(CheckpointError, match="schema"):
-        load_checkpoint(path)
+    # Schema 1 kept the actuator state and temperature field outside
+    # the loop entry; it must be refused, not fail later on a key.
+    for schema in (1, CHECKPOINT_SCHEMA + 1):
+        write_checkpoint(path, {"schema": schema, "kind": "engine-run"})
+        with pytest.raises(CheckpointError, match="schema"):
+            load_checkpoint(path)
 
 
 def test_load_checkpoint_rejects_wrong_kind(tmp_path):
